@@ -17,7 +17,9 @@ byte-identical CSV files.
 import argparse
 import configparser
 import csv
+import itertools
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,9 @@ CSV_HEADER = (
     "algo,beta,d,direction,step_size,snr_db,sigma,seed,"
     "mixture_id,status,sdr_init,sdr,sdri"
 )
+# one metrics row; _ROW_FORMAT % row is its CSV line, floats with six decimals
+Row = namedtuple("Row", CSV_HEADER)
+_ROW_FORMAT = "%s,%.6f,%d,%s,%.6f,%.6f,%.6f,%d,%s,%s,%.6f,%.6f,%.6f"
 MANIFEST_FIELDS = ("mixture_id", "speech", "noise", "snr_db", "seed", "split")
 
 # keeps per-mixture provider streams apart for any base seed
@@ -233,26 +238,6 @@ def _check_mixture_id(mixture_id):
     return mixture_id
 
 
-def _csv_row(algo, beta, d, direction, step_size, snr_db, sigma, seed,
-             mixture_id, status, sdr_init, sdr_out, sdri_out):
-    """Format one metrics row; floats carry six decimals."""
-    return ",".join([
-        algo,
-        "%.6f" % beta,
-        "%d" % d,
-        direction,
-        "%.6f" % step_size,
-        "%.6f" % snr_db,
-        "%.6f" % sigma,
-        "%d" % seed,
-        mixture_id,
-        status,
-        "%.6f" % sdr_init,
-        "%.6f" % sdr_out,
-        "%.6f" % sdri_out,
-    ])
-
-
 def _write_csv(path, lines):
     with open(path, "w", newline="") as handle:
         handle.write(CSV_HEADER + "\n")
@@ -287,6 +272,30 @@ def _cmd_mix(ns):
     return 0
 
 
+def _initialize(speech, scaled, mixture, provider, d, stft_config):
+    """Measurements at exponent d, the amplitude-mask init and its SDR."""
+    measurements = provide_spectrograms(
+        [speech, scaled], provider, d, stft_config
+    )
+    init = amplitude_mask_init(measurements, mixture, stft_config)
+    return measurements, init, sdr(speech, init[0])
+
+
+def _run_and_score(run, speech, sdr_init):
+    """Call run() for the estimates and score the first against the speech.
+
+    Returns:
+        (estimates, status, sdr, sdri); on SolverDivergedError (None,
+        "diverged", sdr_init, 0.0).
+    """
+    try:
+        estimates = run()
+    except SolverDivergedError:
+        return None, "diverged", sdr_init, 0.0
+    value = sdr(speech, estimates[0])
+    return estimates, "ok", value, value - sdr_init
+
+
 def _run_algorithm(ns, measurements, mixture, init, stft_config):
     """Run the selected algorithm starting from the amplitude-mask init."""
     algo = ns["algo"]
@@ -317,30 +326,23 @@ def _cmd_separate(ns):
     )
     stft_config = StftConfig(ns["win"], ns["hop"])
     provider = ProviderSpec(ns["provider"], ns["sigma"], ns["seed"])
-    measurements = provide_spectrograms(
-        [speech, scaled], provider, ns["d"], stft_config
+    measurements, init, sdr_init = _initialize(
+        speech, scaled, mixture, provider, ns["d"], stft_config
     )
-    init = amplitude_mask_init(measurements, mixture, stft_config)
-    sdr_init = sdr(speech, init[0])
-    status = "ok"
-    estimates = None
-    try:
-        estimates = _run_algorithm(ns, measurements, mixture, init, stft_config)
-        sdr_out = sdr(speech, estimates[0])
-        sdri_out = sdr_out - sdr_init
-    except SolverDivergedError:
-        status = "diverged"
-        sdr_out = sdr_init
-        sdri_out = 0.0
-    row = _csv_row(
+    estimates, status, sdr_out, sdri_out = _run_and_score(
+        lambda: _run_algorithm(ns, measurements, mixture, init, stft_config),
+        speech,
+        sdr_init,
+    )
+    line = _ROW_FORMAT % Row(
         ns["algo"], ns["beta"], ns["d"], ns["direction"], ns["step_size"],
         ns["snr"], ns["sigma"], ns["seed"], mixture_id, status,
         sdr_init, sdr_out, sdri_out,
     )
     print(CSV_HEADER)
-    print(row)
+    print(line)
     if ns["csv"]:
-        _write_csv(ns["csv"], [row])
+        _write_csv(ns["csv"], [line])
     if ns["out_dir"] and estimates is not None:
         out_dir = Path(ns["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,13 +410,13 @@ def _print_sweep_summary(records):
     """Print per-cell best step sizes and the overall best cell.
 
     Args:
-        records: list of sweep record dicts. Cell means average sdri over
+        records: list of sweep Rows. Cell means average sdri over
             mixtures; ties on the mean go to the smaller step size.
     """
     cells = {}
     for rec in records:
-        key = (rec["beta"], rec["d"], rec["direction"], rec["step_size"])
-        cells.setdefault(key, []).append(rec["sdri"])
+        key = (rec.beta, rec.d, rec.direction, rec.step_size)
+        cells.setdefault(key, []).append(rec.sdri)
     groups = {}
     for (beta, d, direction, step), values in cells.items():
         mean = sum(values) / len(values)
@@ -450,8 +452,8 @@ def _cmd_sweep(ns):
     steps = ns["step_sizes"]
     for beta in betas:
         DivergenceSpec(beta)
-    if any(step <= 0 for step in steps):
-        raise ValueError("step sizes must be positive")
+    if not all(np.isfinite(step) and step > 0 for step in steps):
+        raise ValueError("step sizes must be positive and finite")
     stft_config = StftConfig(ns["win"], ns["hop"])
     records = []
     for row in rows:
@@ -461,56 +463,29 @@ def _cmd_sweep(ns):
         provider_seed = ns["seed"] * _SEED_STRIDE + row["seed"]
         provider = ProviderSpec(ns["provider"], ns["sigma"], provider_seed)
         for d in ns["d_values"]:
-            measurements = provide_spectrograms(
-                [speech, scaled], provider, d, stft_config
+            measurements, init, sdr_init = _initialize(
+                speech, scaled, mixture, provider, d, stft_config
             )
-            init = amplitude_mask_init(measurements, mixture, stft_config)
-            sdr_init = sdr(speech, init[0])
-            for beta in betas:
-                for direction in ns["directions"]:
-                    for step in steps:
-                        spec = DivergenceSpec(beta, direction, d)
-                        solver = SolverConfig(
-                            spec, step, ns["iterations"], ns["eps_floor"]
-                        )
-                        try:
-                            result = projected_gradient(
-                                measurements, mixture, solver, stft_config,
-                                init=init,
-                            )
-                            value = sdr(speech, result.sources[0])
-                            status = "ok"
-                            improvement = value - sdr_init
-                        except SolverDivergedError:
-                            value = sdr_init
-                            status = "diverged"
-                            improvement = 0.0
-                        records.append({
-                            "mixture_id": row["mixture_id"],
-                            "snr_db": row["snr_db"],
-                            "seed": row["seed"],
-                            "beta": beta,
-                            "d": d,
-                            "direction": direction,
-                            "step_size": step,
-                            "status": status,
-                            "sdr_init": sdr_init,
-                            "sdr": value,
-                            "sdri": improvement,
-                        })
+            cells = itertools.product(betas, ns["directions"], steps)
+            for beta, direction, step in cells:
+                spec = DivergenceSpec(beta, direction, d)
+                solver = SolverConfig(spec, step, ns["iterations"], ns["eps_floor"])
+                _, status, value, improvement = _run_and_score(
+                    lambda: projected_gradient(
+                        measurements, mixture, solver, stft_config, init=init
+                    ).sources,
+                    speech,
+                    sdr_init,
+                )
+                records.append(Row(
+                    "pgd", beta, d, direction, step, row["snr_db"], ns["sigma"],
+                    row["seed"], row["mixture_id"], status, sdr_init, value,
+                    improvement,
+                ))
     records.sort(
-        key=lambda r: (r["mixture_id"], r["beta"], r["step_size"], r["d"],
-                       r["direction"])
+        key=lambda r: (r.mixture_id, r.beta, r.step_size, r.d, r.direction)
     )
-    lines = [
-        _csv_row(
-            "pgd", r["beta"], r["d"], r["direction"], r["step_size"],
-            r["snr_db"], ns["sigma"], r["seed"], r["mixture_id"], r["status"],
-            r["sdr_init"], r["sdr"], r["sdri"],
-        )
-        for r in records
-    ]
-    _write_csv(ns["csv"], lines)
+    _write_csv(ns["csv"], [_ROW_FORMAT % r for r in records])
     _print_sweep_summary(records)
     return 0
 

@@ -63,7 +63,10 @@ def generator(beta, x):
 
 def generator_prime(beta, x):
     """First derivative of :func:`generator`."""
-    x = _checked(beta, x)
+    return _generator_prime(beta, _checked(beta, x))
+
+
+def _generator_prime(beta, x):
     if beta == 0:
         return -1.0 / x
     if beta == 1:
@@ -123,9 +126,17 @@ def grad_term(spec, target, mag_d):
     mag_d = np.asarray(mag_d, dtype=np.float64)
     if target.shape != mag_d.shape:
         raise ValueError("target and mag_d must have the same shape")
+    _checked(spec.beta, mag_d)
+    if spec.direction == DIRECTION_LEFT:
+        _checked(spec.beta, target)
+    return _grad_term(spec, target, mag_d)
+
+
+def _grad_term(spec, target, mag_d):
+    """:func:`grad_term` on float64 arrays of one shape, unchecked."""
     if spec.direction == DIRECTION_RIGHT:
-        return generator_second(spec.beta, mag_d) * (mag_d - target)
-    return generator_prime(spec.beta, mag_d) - generator_prime(spec.beta, target)
+        return mag_d ** (spec.beta - 2.0) * (mag_d - target)
+    return _generator_prime(spec.beta, mag_d) - _generator_prime(spec.beta, target)
 
 
 def objective(spec, measurements, signal, config, eps_floor=1e-12):

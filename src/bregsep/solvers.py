@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import DivergenceSpec, grad_term, objective
-from .transform import Signal, _istft_data, _stft_data, normalization_constant, stft
+from .divergence import DivergenceSpec, _grad_term, objective
+from .transform import Signal, _istft_data, _stft_data
 
 
 class SolverDivergedError(RuntimeError):
@@ -48,9 +48,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.step_size < 0:
+        if not (np.isfinite(self.step_size) and self.step_size >= 0):
             # 0 degenerates to repeated projection of the initialization
-            raise ValueError("step_size must be >= 0")
+            raise ValueError("step_size must be finite and >= 0")
         if not self.eps_floor > 0:
             raise ValueError("eps_floor must be positive")
 
@@ -69,11 +69,30 @@ class SeparationResult:
     iterations_run: int
 
 
-def _unit_phase(spec_data):
-    # zero-magnitude bins get unit factor 1 (phase 0)
-    mag = np.abs(spec_data)
+def _phase_synthesis(amplitudes, spectrum, config, length):
+    """istft(a * X / |X|) for each amplitude a, X's unit phase computed once.
+
+    Zero-magnitude bins of X get unit factor 1 (phase 0).  Returns a list of
+    sample arrays of the given length.
+    """
+    mag = np.abs(spectrum)
     safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, spec_data / safe, 1.0 + 0.0j)
+    phase = np.where(mag > 0, spectrum / safe, 1.0 + 0.0j)
+    return [_istft_data(a * phase, config, length) for a in amplitudes]
+
+
+def _project(estimates, x):
+    """Sample arrays y_c + (x - sum_i y_i) / C, which sum to x."""
+    residual = (x - np.sum(estimates, axis=0)) / len(estimates)
+    return [y + residual for y in estimates]
+
+
+def _objectives(spec, measurements, current, config, eps_floor=1e-12):
+    """Per-source :func:`objective` values of the sample arrays in current."""
+    return [
+        objective(spec, r, Signal(s), config, eps_floor=eps_floor)
+        for r, s in zip(measurements, current)
+    ]
 
 
 def _check_measurements(measurements, mixture, config, d=None):
@@ -83,13 +102,19 @@ def _check_measurements(measurements, mixture, config, d=None):
     for r in measurements:
         if r.data.shape != shape:
             raise ValueError(
-                "measurements shape %s does not match the mixture grid %s"
+                "measurements shape %s does not match the analysis grid %s"
                 % (r.data.shape, shape)
             )
         if d is not None and r.d != d:
             raise ValueError("measurements exponent %d, expected %d" % (r.d, d))
     if len({r.d for r in measurements}) != 1:
         raise ValueError("all measurements must share the same exponent d")
+
+
+def _amplitude_mask(measurements, mixture, config):
+    amplitudes = [r.data if r.d == 1 else np.sqrt(r.data) for r in measurements]
+    spectrum = _stft_data(mixture.samples, config)
+    return _phase_synthesis(amplitudes, spectrum, config, len(mixture))
 
 
 def amplitude_mask_init(measurements, mixture, config):
@@ -109,16 +134,25 @@ def amplitude_mask_init(measurements, mixture, config):
         constraint).
     """
     _check_measurements(measurements, mixture, config)
-    phase = _unit_phase(stft(mixture, config).data)
-    out = []
-    for r in measurements:
-        amp = r.data if r.d == 1 else np.sqrt(r.data)
-        out.append(
-            Signal(
-                _istft_data(amp * phase, config, len(mixture)), mixture.sample_rate
-            )
-        )
-    return out
+    return [
+        Signal(s, mixture.sample_rate)
+        for s in _amplitude_mask(measurements, mixture, config)
+    ]
+
+
+def _initial_sources(name, measurements, mixture, config, d, init):
+    """Validate a separation problem once; return its starting sample arrays.
+
+    The start is amplitude masking unless init supplies one Signal per source.
+    """
+    if len(measurements) < 2:
+        raise ValueError("%s needs at least two sources" % name)
+    _check_measurements(measurements, mixture, config, d=d)
+    if init is None:
+        return _amplitude_mask(measurements, mixture, config)
+    if len(init) != len(measurements):
+        raise ValueError("init must provide one signal per source")
+    return [s.samples for s in init]
 
 
 def griffin_lim(measurements, init, iterations, config):
@@ -141,14 +175,12 @@ def griffin_lim(measurements, init, iterations, config):
         raise ValueError("griffin_lim requires magnitude measurements (d = 1)")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    target = measurements.data
-    expected = (config.n_bins, config.n_frames(len(init)))
-    if target.shape != expected:
-        raise ValueError("measurements shape does not match the analysis grid")
+    _check_measurements([measurements], init, config)
     s = init.samples
     for _ in range(iterations):
-        phase = _unit_phase(_stft_data(s, config))
-        s = _istft_data(target * phase, config, len(init))
+        (s,) = _phase_synthesis(
+            [measurements.data], _stft_data(s, config), config, len(init)
+        )
     return Signal(s.copy(), init.sample_rate)
 
 
@@ -169,9 +201,8 @@ def project_to_mixture(estimates, mixture):
     for y in estimates:
         if len(y) != len(mixture):
             raise ValueError("estimate length does not match the mixture")
-    stack = np.stack([y.samples for y in estimates])
-    residual = (mixture.samples - stack.sum(axis=0)) / len(estimates)
-    return [Signal(row + residual, mixture.sample_rate) for row in stack]
+    projected = _project([y.samples for y in estimates], mixture.samples)
+    return [Signal(s, mixture.sample_rate) for s in projected]
 
 
 def misi(measurements, mixture, iterations, config, init=None, record_trace=False):
@@ -192,35 +223,20 @@ def misi(measurements, mixture, iterations, config, init=None, record_trace=Fals
     Returns:
         SeparationResult.
     """
-    if len(measurements) < 2:
-        raise ValueError("misi needs at least two sources")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    _check_measurements(measurements, mixture, config, d=1)
-    sources = list(init) if init is not None else amplitude_mask_init(
-        measurements, mixture, config
-    )
-    if len(sources) != len(measurements):
-        raise ValueError("init must provide one signal per source")
+    current = _initial_sources("misi", measurements, mixture, config, 1, init)
     quad = DivergenceSpec(2.0, "right", 1)
-    trace = []
-    if record_trace:
-        trace.append([objective(quad, r, s, config) for r, s in zip(measurements, sources)])
+    trace = [_objectives(quad, measurements, current, config)] if record_trace else []
     for _ in range(iterations):
-        updated = []
-        for r, s in zip(measurements, sources):
-            phase = _unit_phase(_stft_data(s.samples, config))
-            updated.append(
-                Signal(
-                    _istft_data(r.data * phase, config, len(mixture)),
-                    mixture.sample_rate,
-                )
-            )
-        sources = project_to_mixture(updated, mixture)
+        updated = [
+            _phase_synthesis([r.data], _stft_data(s, config), config, len(mixture))[0]
+            for r, s in zip(measurements, current)
+        ]
+        current = _project(updated, mixture.samples)
         if record_trace:
-            trace.append(
-                [objective(quad, r, s, config) for r, s in zip(measurements, sources)]
-            )
+            trace.append(_objectives(quad, measurements, current, config))
+    sources = [Signal(s, mixture.sample_rate) for s in current]
     return SeparationResult(sources, trace if record_trace else None, iterations)
 
 
@@ -229,10 +245,10 @@ def _descent_direction(samples, target_floored, spec, config, eps_floor):
     data = _stft_data(samples, config)
     mag_f = np.maximum(np.abs(data), eps_floor)
     if spec.d == 2:
-        integrand = data * grad_term(spec, target_floored, mag_f**2)
+        integrand = data * _grad_term(spec, target_floored, mag_f**2)
     else:
         # |S|^(d-2) = 1/mag for d = 1
-        integrand = data * (grad_term(spec, target_floored, mag_f) / mag_f)
+        integrand = data * (_grad_term(spec, target_floored, mag_f) / mag_f)
     return spec.d * _istft_data(integrand, config, samples.size)
 
 
@@ -247,10 +263,9 @@ def objective_gradient(signal, measurements, spec, config, eps_floor=1e-12):
     """
     if measurements.d != spec.d:
         raise ValueError("measurements exponent %d != spec.d %d" % (measurements.d, spec.d))
-    b = normalization_constant(config)
     target = np.maximum(measurements.data, eps_floor)
     direction = _descent_direction(signal.samples, target, spec, config, eps_floor)
-    return Signal(b * direction, signal.sample_rate)
+    return Signal(config.b * direction, signal.sample_rate)
 
 
 def projected_gradient(measurements, mixture, solver_config, stft_config, init=None):
@@ -277,32 +292,16 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
         SolverDivergedError: a non-finite iterate appeared (iteration index
             on the exception).
     """
-    if len(measurements) < 2:
-        raise ValueError("projected_gradient needs at least two sources")
     spec = solver_config.spec
-    _check_measurements(measurements, mixture, stft_config, d=spec.d)
-    sources = list(init) if init is not None else amplitude_mask_init(
-        measurements, mixture, stft_config
+    current = _initial_sources(
+        "projected_gradient", measurements, mixture, stft_config, spec.d, init
     )
-    if len(sources) != len(measurements):
-        raise ValueError("init must provide one signal per source")
     eps = solver_config.eps_floor
     targets = [np.maximum(r.data, eps) for r in measurements]
+    record = solver_config.record_trace
     trace = []
-
-    def _record():
-        trace.append(
-            [
-                objective(spec, r, s, stft_config, eps_floor=eps)
-                for r, s in zip(measurements, sources)
-            ]
-        )
-
-    if solver_config.record_trace:
-        _record()
-    x = mixture.samples
-    count = len(measurements)
-    current = [s.samples for s in sources]
+    if record:
+        trace.append(_objectives(spec, measurements, current, stft_config, eps))
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stepped = [
@@ -311,14 +310,16 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
                 * _descent_direction(s, target, spec, stft_config, eps)
                 for s, target in zip(current, targets)
             ]
-            residual = (x - np.sum(stepped, axis=0)) / count
-            current = [y + residual for y in stepped]
+            current = _project(stepped, mixture.samples)
+        # before any Signal is built: Signal rejects non-finite samples
         if not all(np.all(np.isfinite(y)) for y in current):
             raise SolverDivergedError(t)
-        sources = [Signal(y, mixture.sample_rate) for y in current]
-        if solver_config.record_trace:
+        if record:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _record()
+                trace.append(
+                    _objectives(spec, measurements, current, stft_config, eps)
+                )
+    sources = [Signal(s, mixture.sample_rate) for s in current]
     return SeparationResult(
-        sources, trace if solver_config.record_trace else None, solver_config.iterations
+        sources, trace if record else None, solver_config.iterations
     )

@@ -14,10 +14,9 @@ samples included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-WINDOW_HANN_PERIODIC = "hann_periodic"
 
 _COLA_TOL = 1e-12
 
@@ -51,42 +50,85 @@ class Signal:
         return self.samples.size
 
 
-@dataclass(eq=False)
-class StftConfig:
-    """Analysis parameters: window length, hop, window kind, DFT size.
+def make_window(length):
+    """Periodic Hann window w[n] = 0.5 - 0.5 cos(2 pi n / length).
 
-    win_length must be even and a multiple of hop; fft_size defaults to
-    win_length and must equal it (frames are never zero-padded in frequency).
+    Args:
+        length: number of taps, >= 2.
+
+    Returns:
+        float64 array of shape (length,).
+    """
+    if length < 2:
+        raise ValueError("window length must be >= 2")
+    n = np.arange(length)
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+
+
+def normalization_constant(config):
+    """Overlap-add sum of the squared window, b = sum_m w^2[n - m hop].
+
+    The sum is periodic in n with period hop; it must be constant across n
+    (constant-overlap-add of the squared window) for synthesis to be the
+    exact pseudo-inverse of analysis.
+
+    Returns:
+        The constant b as a float.
+
+    Raises:
+        NotColaError: if the squared-window overlap sum varies by more than
+            1e-12, i.e. the (window, hop) pair is not COLA.
+    """
+    per_sample = (config.window**2).reshape(-1, config.hop).sum(axis=0)
+    b = float(per_sample.mean())
+    spread = float(per_sample.max() - per_sample.min())
+    if spread > _COLA_TOL * max(1.0, b):
+        raise NotColaError(
+            "squared window does not overlap-add to a constant "
+            "(hop %d, win %d, spread %.3e)" % (config.hop, config.win_length, spread)
+        )
+    return b
+
+
+@dataclass(frozen=True, eq=False)
+class StftConfig:
+    """Analysis parameters: periodic Hann window length and hop.
+
+    win_length must be even and a multiple of hop.  The DFT size is
+    win_length: frames are never zero-padded in frequency.
     """
 
     win_length: int = 1024
     hop: int = 256
-    window_kind: str = WINDOW_HANN_PERIODIC
-    fft_size: int | None = None
 
     def __post_init__(self):
-        if self.fft_size is None:
-            self.fft_size = self.win_length
         if self.win_length < 2 or self.win_length % 2:
             raise ValueError("win_length must be an even integer >= 2")
         if self.hop < 1 or self.hop > self.win_length:
             raise ValueError("hop must satisfy 1 <= hop <= win_length")
         if self.win_length % self.hop:
             raise ValueError("win_length must be a multiple of hop")
-        if self.fft_size != self.win_length:
-            raise ValueError("fft_size must equal win_length")
-        if self.window_kind != WINDOW_HANN_PERIODIC:
-            raise ValueError("unknown window kind: %r" % (self.window_kind,))
 
     @property
     def n_bins(self):
-        """Number of one-sided frequency bins, fft_size/2 + 1."""
-        return self.fft_size // 2 + 1
+        """Number of one-sided frequency bins, win_length/2 + 1."""
+        return self.win_length // 2 + 1
 
     @property
     def head_pad(self):
         """Zeros prepended so the first input sample is fully overlapped."""
         return self.win_length - self.hop
+
+    @cached_property
+    def window(self):
+        """The analysis window, built once per config; read-only."""
+        window = make_window(self.win_length)
+        window.flags.writeable = False
+        return window
+
+    # normalization_constant, computed once per config; a non-COLA config
+    # raises NotColaError on every access
+    b = cached_property(normalization_constant)
 
     def n_frames(self, length):
         """Number of analysis frames for a signal of the given length."""
@@ -135,90 +177,37 @@ class Measurements:
             raise ValueError("d must be 1 (magnitude) or 2 (power)")
 
 
-def make_window(kind, length):
-    """Build an analysis window.
-
-    Args:
-        kind: window family; only "hann_periodic" is supported,
-            w[n] = 0.5 - 0.5 cos(2 pi n / length).
-        length: number of taps, >= 2.
-
-    Returns:
-        float64 array of shape (length,).
-    """
-    if kind != WINDOW_HANN_PERIODIC:
-        raise ValueError("unknown window kind: %r" % (kind,))
-    if length < 2:
-        raise ValueError("window length must be >= 2")
-    n = np.arange(length)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
-
-
-def normalization_constant(config):
-    """Overlap-add sum of the squared window, b = sum_m w^2[n - m hop].
-
-    The sum is periodic in n with period hop; it must be constant across n
-    (constant-overlap-add of the squared window) for synthesis to be the
-    exact pseudo-inverse of analysis.
-
-    Returns:
-        The constant b as a float.
-
-    Raises:
-        NotColaError: if the squared-window overlap sum varies by more than
-            1e-12, i.e. the (window, hop) pair is not COLA.
-    """
-    w2 = make_window(config.window_kind, config.win_length) ** 2
-    per_sample = w2.reshape(config.win_length // config.hop, config.hop).sum(axis=0)
-    b = float(per_sample.mean())
-    spread = float(per_sample.max() - per_sample.min())
-    if spread > _COLA_TOL * max(1.0, b):
-        raise NotColaError(
-            "squared window does not overlap-add to a constant "
-            "(hop %d, win %d, spread %.3e)" % (config.hop, config.win_length, spread)
-        )
-    return b
-
-
 def symmetry_weights(config):
     """Per-bin multiplicities of the one-sided spectrum.
 
     A real frame's full DFT is conjugate-symmetric, so each interior bin of
-    the one-sided layout stands for two full-spectrum bins.  DC (and Nyquist
-    for even DFT sizes) stand for one.  Sums over the full spectrum are
-    therefore weighted one-sided sums with these weights.
+    the one-sided layout stands for two full-spectrum bins.  DC and Nyquist
+    (the DFT size win_length is even) stand for one.  Sums over the full
+    spectrum are therefore weighted one-sided sums with these weights.
     """
     weights = np.full(config.n_bins, 2.0)
-    weights[0] = 1.0
-    if config.fft_size % 2 == 0:
-        weights[-1] = 1.0
+    weights[0] = weights[-1] = 1.0
     return weights
-
-
-def _frame_starts(config, n_frames):
-    return np.arange(n_frames) * config.hop
 
 
 def _stft_data(x, config):
     """Raw analysis on a bare sample array; no validation, no wrapping."""
-    win = make_window(config.window_kind, config.win_length)
     n_frames = config.n_frames(x.size)
     padded = np.zeros((n_frames - 1) * config.hop + config.win_length)
     padded[config.head_pad : config.head_pad + x.size] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, config.win_length)
-    frames = frames[_frame_starts(config, n_frames)]
-    return np.fft.rfft(frames * win, n=config.fft_size, axis=1, norm="ortho").T
+    frames = frames[:: config.hop]
+    return np.fft.rfft(frames * config.window, axis=1, norm="ortho").T
 
 
 def _istft_data(data, config, target_length):
     """Raw synthesis to a bare sample array; no validation, no wrapping."""
-    b = normalization_constant(config)
-    win = make_window(config.window_kind, config.win_length)
-    frames = np.fft.irfft(data.T, n=config.fft_size, axis=1, norm="ortho") * win
-    n_frames = frames.shape[0]
-    buf = np.zeros((n_frames - 1) * config.hop + config.win_length)
-    for m, start in enumerate(_frame_starts(config, n_frames)):
-        buf[start : start + config.win_length] += frames[m]
+    b = config.b
+    frames = np.fft.irfft(data.T, n=config.win_length, axis=1, norm="ortho")
+    frames *= config.window
+    buf = np.zeros((frames.shape[0] - 1) * config.hop + config.win_length)
+    for m, frame in enumerate(frames):
+        buf[m * config.hop : m * config.hop + config.win_length] += frame
     out = np.zeros(target_length)
     avail = min(target_length, buf.size - config.head_pad)
     if avail > 0:
@@ -239,7 +228,7 @@ def stft(signal, config):
         config: StftConfig.
 
     Returns:
-        ComplexSpectrogram of shape (fft_size/2 + 1, n_frames).
+        ComplexSpectrogram of shape (win_length/2 + 1, n_frames).
     """
     x = signal.samples
     if x.size == 0:

@@ -170,6 +170,15 @@ class TestSeparate:
         assert code == 2
         assert "magnitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_nonfinite_step_rejected(self, wavs, capsys, step):
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--algo", "pgd", "--step-size", step,
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_noise_rejected(self, wavs, capsys):
         code = _separate(["--speech", wavs["speech"]])
         assert code == 2
@@ -328,3 +337,9 @@ class TestSweep:
         code, _ = _sweep(sweep_setup, "zero.csv", ["--step-sizes", "0,1"])
         assert code == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_nonfinite_step_rejected(self, sweep_setup, capsys, step):
+        code, _ = _sweep(sweep_setup, "nonfinite.csv", ["--step-sizes", step + ",1"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err

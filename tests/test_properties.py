@@ -1,0 +1,107 @@
+"""Property tests of the transform and solver identities over random
+configurations, signal lengths and seeds."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bregsep.divergence import DivergenceSpec
+from bregsep.solvers import (
+    SolverConfig,
+    SolverDivergedError,
+    misi,
+    projected_gradient,
+)
+from bregsep.transform import (
+    ComplexSpectrogram,
+    Measurements,
+    Signal,
+    StftConfig,
+    istft,
+    normalization_constant,
+    stft,
+    symmetry_weights,
+)
+
+FEW = settings(max_examples=25, deadline=None)
+PGD_CONFIG = StftConfig(64, 16)
+
+
+@st.composite
+def configs_and_lengths(draw):
+    """A COLA config (win/hop in {3, 4, 8}, win even) and a signal length
+    from 1 up to three windows, so lengths below hop and below win occur."""
+    ratio = draw(st.sampled_from((3, 4, 8)))
+    hop = draw(st.integers(1, 12)) * (2 if ratio == 3 else 1)
+    win = ratio * hop
+    return StftConfig(win, hop), draw(st.integers(1, 3 * win))
+
+
+@FEW
+@given(configs_and_lengths(), st.integers(0, 2**32 - 1))
+@example((StftConfig(24, 8), 5), 0)
+@example((StftConfig(48, 16), 40), 1)
+@example((StftConfig(32, 8), 3), 2)
+@example((StftConfig(64, 16), 1000), 3)
+def test_round_trip_and_adjoint(case, seed):
+    config, length = case
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(length)
+    spec = stft(Signal(u), config)
+    assert np.max(np.abs(istft(spec, length).samples - u)) < 1e-10
+
+    # <A u, G>_w == b <u, istft(G)>, interior one-sided bins weighted twice
+    g = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(
+        spec.data.shape
+    )
+    weights = symmetry_weights(config)[:, None]
+    lhs = float(np.sum(weights * (spec.data * np.conj(g))).real)
+    synth = istft(ComplexSpectrogram(g, config), length).samples
+    rhs = normalization_constant(config) * float(np.dot(u, synth))
+    assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _instance(seed, length, d=1):
+    rng = np.random.default_rng(seed)
+    mixture = Signal(rng.standard_normal(length))
+    measurements = []
+    for _ in range(2):
+        mag = np.abs(stft(Signal(rng.standard_normal(length)), PGD_CONFIG).data)
+        measurements.append(Measurements(mag**d, d))
+    return mixture, measurements
+
+
+@FEW
+@given(st.integers(0, 2**32 - 1), st.integers(8, 600))
+def test_quadratic_pgd_is_misi_and_keeps_the_mixture(seed, length):
+    mixture, measurements = _instance(seed, length)
+    for k in (1, 2, 3):
+        ref = misi(measurements, mixture, k, PGD_CONFIG)
+        solver = SolverConfig(DivergenceSpec(2.0, "right", 1), 1.0, k)
+        out = projected_gradient(measurements, mixture, solver, PGD_CONFIG)
+        for a, b in zip(ref.sources, out.sources):
+            assert np.max(np.abs(a.samples - b.samples)) < 1e-9
+        total = np.sum([s.samples for s in out.sources], axis=0)
+        assert np.max(np.abs(total - mixture.samples)) < 1e-9
+
+
+@FEW
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 600),
+    st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+    st.sampled_from(("right", "left")),
+    st.sampled_from((1, 2)),
+)
+def test_every_pgd_iterate_sums_to_the_mixture(seed, length, beta, direction, d):
+    mixture, measurements = _instance(seed, length, d)
+    for k in (1, 2, 3):
+        solver = SolverConfig(DivergenceSpec(beta, direction, d), 1e-3, k)
+        try:
+            out = projected_gradient(measurements, mixture, solver, PGD_CONFIG)
+        except SolverDivergedError:
+            return
+        stack = np.array([s.samples for s in out.sources])
+        # the projection is exact up to rounding relative to the iterates
+        scale = max(1.0, float(np.max(np.abs(stack))))
+        assert np.max(np.abs(stack.sum(axis=0) - mixture.samples)) < 1e-9 * scale

@@ -349,8 +349,9 @@ class TestProjectedGradient:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(DivergenceSpec(2.0), step_size=-0.1)
+        for step in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(DivergenceSpec(2.0), step_size=step)
         with pytest.raises(ValueError):
             SolverConfig(DivergenceSpec(2.0), iterations=-1)
         with pytest.raises(ValueError):
