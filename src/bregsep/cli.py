@@ -86,7 +86,6 @@ _CONVERTERS = {
     "d_values": _value_list(_choice((1, 2), int)),
     "direction": _choice(("right", "left")),
     "directions": _value_list(_choice(("right", "left"))),
-    "eps_floor": float,
     "est": str,
     "hop": int,
     "iterations": int,
@@ -116,7 +115,6 @@ _DEFAULTS = {
     "d_values": [1, 2],
     "direction": "right",
     "directions": ["right", "left"],
-    "eps_floor": 1e-12,
     "hop": 256,
     "iterations": 5,
     "provider": "oracle",
@@ -139,7 +137,7 @@ _SUBCOMMANDS = {
         "options": (
             "speech", "noise", "snr", "seed", "algo", "beta", "d",
             "direction", "step_size", "iterations", "provider", "sigma",
-            "win", "hop", "eps_floor", "out_dir", "csv", "mixture_id",
+            "win", "hop", "out_dir", "csv", "mixture_id",
         ),
         "required": ("speech", "noise"),
         "help": "run one separation algorithm and report SDR and SDRi",
@@ -148,7 +146,7 @@ _SUBCOMMANDS = {
         "options": (
             "manifest", "split", "betas", "step_sizes", "directions",
             "d_values", "iterations", "provider", "sigma", "seed",
-            "win", "hop", "eps_floor", "csv",
+            "win", "hop", "csv",
         ),
         "required": ("manifest", "csv"),
         "help": "grid-search divergence settings and step sizes over a manifest",
@@ -311,7 +309,7 @@ def _run_algorithm(ns, measurements, mixture, init, stft_config):
     if algo == "misi":
         return misi(measurements, mixture, iterations, stft_config, init=init).sources
     spec = DivergenceSpec(ns["beta"], ns["direction"], ns["d"])
-    solver = SolverConfig(spec, ns["step_size"], iterations, ns["eps_floor"])
+    solver = SolverConfig(spec, ns["step_size"], iterations)
     return projected_gradient(
         measurements, mixture, solver, stft_config, init=init
     ).sources
@@ -393,6 +391,8 @@ def _read_manifest(path):
                 seed = int(record["seed"])
             except (TypeError, ValueError):
                 raise ValueError("manifest line %d: bad snr_db or seed" % line_no)
+            if not np.isfinite(snr_db):
+                raise ValueError("manifest line %d: snr_db must be finite" % line_no)
             rows.append({
                 "mixture_id": mixture_id,
                 "speech": _resolve_manifest_path(record["speech"], base),
@@ -469,7 +469,7 @@ def _cmd_sweep(ns):
             cells = itertools.product(betas, ns["directions"], steps)
             for beta, direction, step in cells:
                 spec = DivergenceSpec(beta, direction, d)
-                solver = SolverConfig(spec, step, ns["iterations"], ns["eps_floor"])
+                solver = SolverConfig(spec, step, ns["iterations"])
                 _, status, value, improvement = _run_and_score(
                     lambda: projected_gradient(
                         measurements, mixture, solver, stft_config, init=init

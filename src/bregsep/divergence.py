@@ -23,6 +23,10 @@ from .transform import stft, symmetry_weights
 DIRECTION_RIGHT = "right"
 DIRECTION_LEFT = "left"
 
+# Magnitudes and targets are floored here before every objective and
+# gradient evaluation, so beta <= 1 stays defined at spectral zeros.
+EPS_FLOOR = 1e-12
+
 
 @dataclass(eq=False)
 class DivergenceSpec:
@@ -139,10 +143,10 @@ def _grad_term(spec, target, mag_d):
     return _generator_prime(spec.beta, mag_d) - _generator_prime(spec.beta, target)
 
 
-def objective(spec, measurements, signal, config, eps_floor=1e-12):
+def objective(spec, measurements, signal, config):
     """Divergence between measurements and the signal's |stft|^d.
 
-    Magnitudes and measurements are floored at eps_floor before generator
+    Magnitudes and measurements are floored at EPS_FLOOR before generator
     evaluation.  The sum runs over the full conjugate-symmetric spectrum, so
     interior bins of the one-sided grid count twice (see symmetry_weights);
     this makes :func:`bregsep.solvers.objective_gradient` the exact gradient
@@ -153,7 +157,6 @@ def objective(spec, measurements, signal, config, eps_floor=1e-12):
         measurements: Measurements on the config's grid.
         signal: Signal to evaluate.
         config: StftConfig.
-        eps_floor: positive magnitude floor.
 
     Returns:
         Nonnegative float.
@@ -163,9 +166,9 @@ def objective(spec, measurements, signal, config, eps_floor=1e-12):
     spectrogram = stft(signal, config)
     if measurements.data.shape != spectrogram.data.shape:
         raise ValueError("measurements shape does not match the analysis grid")
-    mag = np.maximum(np.abs(spectrogram.data), eps_floor)
+    mag = np.maximum(np.abs(spectrogram.data), EPS_FLOOR)
     mag_d = mag if spec.d == 1 else mag**2
-    target = np.maximum(measurements.data, eps_floor)
+    target = np.maximum(measurements.data, EPS_FLOOR)
     weights = symmetry_weights(config)[:, None]
     if spec.direction == DIRECTION_RIGHT:
         return bregman(spec.beta, target, mag_d, weights=weights)

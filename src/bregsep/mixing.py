@@ -27,8 +27,8 @@ class ProviderSpec:
     def __post_init__(self):
         if self.mode not in (PROVIDER_ORACLE, PROVIDER_NOISY_ORACLE):
             raise ValueError("unknown provider mode: %r" % (self.mode,))
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 def align_noise(noise, length, seed):
@@ -67,11 +67,13 @@ def mix_at_snr(speech, noise, snr_db):
     Args:
         speech: speech Signal.
         noise: noise Signal, same length and sample rate.
-        snr_db: target signal-to-noise ratio in dB.
+        snr_db: target signal-to-noise ratio in dB, finite.
 
     Returns:
         (mixture, scaled_noise) pair of Signals.
     """
+    if not np.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
     if len(speech) != len(noise):
         raise ValueError("speech and noise lengths differ (align the noise first)")
     if speech.sample_rate != noise.sample_rate:

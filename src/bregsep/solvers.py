@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import DivergenceSpec, _grad_term, objective
+from .divergence import EPS_FLOOR, DivergenceSpec, _grad_term, objective
 from .transform import Signal, _istft_data, _stft_data
 
 
@@ -42,7 +42,6 @@ class SolverConfig:
     spec: DivergenceSpec = field(default_factory=lambda: DivergenceSpec(2.0))
     step_size: float = 1.0
     iterations: int = 5
-    eps_floor: float = 1e-12
     record_trace: bool = False
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class SolverConfig:
         if not (np.isfinite(self.step_size) and self.step_size >= 0):
             # 0 degenerates to repeated projection of the initialization
             raise ValueError("step_size must be finite and >= 0")
-        if not self.eps_floor > 0:
-            raise ValueError("eps_floor must be positive")
 
 
 @dataclass(eq=False)
@@ -66,7 +63,6 @@ class SeparationResult:
 
     sources: list
     objective_trace: list | None
-    iterations_run: int
 
 
 def _phase_synthesis(amplitudes, spectrum, config, length):
@@ -76,8 +72,7 @@ def _phase_synthesis(amplitudes, spectrum, config, length):
     sample arrays of the given length.
     """
     mag = np.abs(spectrum)
-    safe = np.where(mag > 0, mag, 1.0)
-    phase = np.where(mag > 0, spectrum / safe, 1.0 + 0.0j)
+    phase = np.divide(spectrum, mag, out=np.ones_like(spectrum), where=mag > 0)
     return [_istft_data(a * phase, config, length) for a in amplitudes]
 
 
@@ -87,11 +82,10 @@ def _project(estimates, x):
     return [y + residual for y in estimates]
 
 
-def _objectives(spec, measurements, current, config, eps_floor=1e-12):
+def _objectives(spec, measurements, current, config):
     """Per-source :func:`objective` values of the sample arrays in current."""
     return [
-        objective(spec, r, Signal(s), config, eps_floor=eps_floor)
-        for r, s in zip(measurements, current)
+        objective(spec, r, Signal(s), config) for r, s in zip(measurements, current)
     ]
 
 
@@ -237,13 +231,13 @@ def misi(measurements, mixture, iterations, config, init=None, record_trace=Fals
         if record_trace:
             trace.append(_objectives(quad, measurements, current, config))
     sources = [Signal(s, mixture.sample_rate) for s in current]
-    return SeparationResult(sources, trace if record_trace else None, iterations)
+    return SeparationResult(sources, trace if record_trace else None)
 
 
-def _descent_direction(samples, target_floored, spec, config, eps_floor):
+def _descent_direction(samples, target_floored, spec, config):
     """Normalized gradient d * istft(S |S|^(d-2) gradterm); true gradient / b."""
     data = _stft_data(samples, config)
-    mag_f = np.maximum(np.abs(data), eps_floor)
+    mag_f = np.maximum(np.abs(data), EPS_FLOOR)
     if spec.d == 2:
         integrand = data * _grad_term(spec, target_floored, mag_f**2)
     else:
@@ -252,19 +246,19 @@ def _descent_direction(samples, target_floored, spec, config, eps_floor):
     return spec.d * _istft_data(integrand, config, samples.size)
 
 
-def objective_gradient(signal, measurements, spec, config, eps_floor=1e-12):
+def objective_gradient(signal, measurements, spec, config):
     """Gradient of :func:`bregsep.divergence.objective` w.r.t. the signal.
 
     Computed as d * b * istft(As . |As|^(d-2) . gradterm) with the |.|^(d-2)
-    factor special-cased to 1 for d = 2 and magnitudes floored at eps_floor.
+    factor special-cased to 1 for d = 2 and magnitudes floored at EPS_FLOOR.
 
     Returns:
         Signal holding the gradient (same length and rate as the input).
     """
     if measurements.d != spec.d:
         raise ValueError("measurements exponent %d != spec.d %d" % (measurements.d, spec.d))
-    target = np.maximum(measurements.data, eps_floor)
-    direction = _descent_direction(signal.samples, target, spec, config, eps_floor)
+    target = np.maximum(measurements.data, EPS_FLOOR)
+    direction = _descent_direction(signal.samples, target, spec, config)
     return Signal(config.b * direction, signal.sample_rate)
 
 
@@ -281,7 +275,7 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
             exponent solver_config.spec.d.
         mixture: mixture Signal.
         solver_config: SolverConfig (step size, iterations, divergence,
-            floor, trace recording).
+            trace recording).
         stft_config: StftConfig.
         init: optional list of starting Signals.
 
@@ -296,18 +290,17 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
     current = _initial_sources(
         "projected_gradient", measurements, mixture, stft_config, spec.d, init
     )
-    eps = solver_config.eps_floor
-    targets = [np.maximum(r.data, eps) for r in measurements]
+    targets = [np.maximum(r.data, EPS_FLOOR) for r in measurements]
     record = solver_config.record_trace
     trace = []
     if record:
-        trace.append(_objectives(spec, measurements, current, stft_config, eps))
+        trace.append(_objectives(spec, measurements, current, stft_config))
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stepped = [
                 s
                 - solver_config.step_size
-                * _descent_direction(s, target, spec, stft_config, eps)
+                * _descent_direction(s, target, spec, stft_config)
                 for s, target in zip(current, targets)
             ]
             current = _project(stepped, mixture.samples)
@@ -316,10 +309,6 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
             raise SolverDivergedError(t)
         if record:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trace.append(
-                    _objectives(spec, measurements, current, stft_config, eps)
-                )
+                trace.append(_objectives(spec, measurements, current, stft_config))
     sources = [Signal(s, mixture.sample_rate) for s in current]
-    return SeparationResult(
-        sources, trace if record else None, solver_config.iterations
-    )
+    return SeparationResult(sources, trace if record else None)

@@ -92,6 +92,17 @@ class TestMix:
         assert code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_nonfinite_snr_rejected(self, wavs, capsys, snr):
+        out = wavs["dir"] / "mixture.wav"
+        code = cli.main([
+            "mix", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--snr=" + snr, "--out", str(out),
+        ])
+        assert code == 2
+        assert "snr_db must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSeparate:
     def test_amplitude_mask_is_its_own_baseline(self, wavs, capsys):
@@ -178,6 +189,24 @@ class TestSeparate:
         ])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--snr=inf", "snr_db must be finite"),
+            ("--sigma=nan", "sigma must be finite"),
+        ],
+        ids=["snr", "sigma"],
+    )
+    def test_nonfinite_mixing_input_rejected(self, wavs, capsys, flag, message):
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--provider", "noisy_oracle", flag,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_missing_noise_rejected(self, wavs, capsys):
         code = _separate(["--speech", wavs["speech"]])
@@ -332,6 +361,23 @@ class TestSweep:
         ])
         assert code == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_nonfinite_manifest_snr_rejected_before_any_run(self, tmp_path, capsys):
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("good", "tone.wav", "noise.wav", 0.0, 1, "validation"),
+            ("bad", "tone.wav", "noise.wav", "inf", 2, "validation"),
+        ])
+        code = cli.main([
+            "sweep", "--manifest", str(manifest),
+            "--csv", str(tmp_path / "none.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "manifest line 3: snr_db must be finite" in captured.err
+        assert captured.out == ""
 
     def test_nonpositive_step_rejected(self, sweep_setup, capsys):
         code, _ = _sweep(sweep_setup, "zero.csv", ["--step-sizes", "0,1"])

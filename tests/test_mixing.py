@@ -46,6 +46,11 @@ class TestMixAtSnr:
         with pytest.raises(ValueError):
             mix_at_snr(Signal(np.ones(10)), Signal(np.zeros(10)), 0.0)
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            mix_at_snr(Signal(np.ones(10)), Signal(np.ones(10)), snr)
+
 
 class TestAlignNoise:
     def test_crop_is_deterministic(self):
@@ -133,3 +138,8 @@ class TestProvideSpectrograms:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProviderSpec("psychic")
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ProviderSpec("noisy_oracle", sigma)

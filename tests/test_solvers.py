@@ -15,9 +15,11 @@ from bregsep.solvers import (
     projected_gradient,
 )
 from bregsep.transform import (
+    ComplexSpectrogram,
     Measurements,
     Signal,
     StftConfig,
+    istft,
     stft,
     symmetry_weights,
 )
@@ -100,6 +102,16 @@ class TestAmplitudeMaskInit:
         shape = (CFG.n_bins, CFG.n_frames(2000))
         out = amplitude_mask_init([Measurements(np.zeros(shape), 1)], x, CFG)
         assert np.max(np.abs(out[0].samples)) == 0.0
+
+    def test_silent_mixture_gives_zero_phase(self):
+        # every mixture bin is exactly zero, so each source keeps phase 0
+        rng = np.random.default_rng(SEED + 25)
+        x = Signal(np.zeros(2000))
+        meas = _random_measurements(rng, 2000, 2)
+        out = amplitude_mask_init(meas, x, CFG)
+        for r, est in zip(meas, out):
+            expected = istft(ComplexSpectrogram(r.data, CFG), 2000).samples
+            assert np.max(np.abs(est.samples - expected)) < 1e-12
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(SEED + 5)
@@ -342,7 +354,6 @@ class TestProjectedGradient:
         )
         res = projected_gradient(meas, x, cfg, CFG)
         assert isinstance(res, SeparationResult)
-        assert res.iterations_run == 3
         assert len(res.objective_trace) == 4
         assert all(len(row) == 2 for row in res.objective_trace)
 
@@ -354,5 +365,3 @@ class TestSolverConfig:
                 SolverConfig(DivergenceSpec(2.0), step_size=step)
         with pytest.raises(ValueError):
             SolverConfig(DivergenceSpec(2.0), iterations=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(DivergenceSpec(2.0), eps_floor=0.0)
