@@ -133,14 +133,28 @@ def grad_term(spec, target, mag_d):
     _checked(spec.beta, mag_d)
     if spec.direction == DIRECTION_LEFT:
         _checked(spec.beta, target)
-    return _grad_term(spec, target, mag_d)
+    return _model_grad(spec, _target_term(spec, target), mag_d)
 
 
-def _grad_term(spec, target, mag_d):
-    """:func:`grad_term` on float64 arrays of one shape, unchecked."""
+def _target_term(spec, target):
+    """The target's share of :func:`grad_term`, computed once per target.
+
+    The target itself for "right", generator_prime(target) for "left".
+    """
     if spec.direction == DIRECTION_RIGHT:
-        return mag_d ** (spec.beta - 2.0) * (mag_d - target)
-    return _generator_prime(spec.beta, mag_d) - _generator_prime(spec.beta, target)
+        return target
+    return _generator_prime(spec.beta, target)
+
+
+def _model_grad(spec, target_term, mag_d):
+    """:func:`grad_term` at mag_d given :func:`_target_term`; a new array."""
+    if spec.direction == DIRECTION_RIGHT:
+        grad = mag_d - target_term
+        grad *= mag_d ** (spec.beta - 2.0)
+        return grad
+    grad = _generator_prime(spec.beta, mag_d)
+    grad -= target_term
+    return grad
 
 
 def objective(spec, measurements, signal, config):

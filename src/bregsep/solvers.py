@@ -7,7 +7,12 @@ distributing the mixing residual equally after each update.
 
 Projected gradient descent minimises, per source, the beta-divergence
 between r_c and |A s_c|^d.  With beta = 2, d = 1, direction "right" and unit
-normalized step, its update reduces exactly to MISI.
+normalized step, its update reduces exactly to MISI.  Because the transform
+is linear, a gradient step followed by the projection equals the step along
+the source's integrand minus the mean integrand over sources; those C steps
+sum to zero, so each iteration costs C forward transforms and C - 1 inverse
+transforms.  MISI keeps its own Griffin-Lim step and shares only the
+transform kernel: it is the reference PGD is checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import EPS_FLOOR, DivergenceSpec, _grad_term, objective
+from .divergence import (
+    EPS_FLOOR,
+    DivergenceSpec,
+    _model_grad,
+    _target_term,
+    objective,
+)
 from .transform import Signal, _istft_data, _stft_data
 
 
@@ -146,6 +157,8 @@ def _initial_sources(name, measurements, mixture, config, d, init):
         return _amplitude_mask(measurements, mixture, config)
     if len(init) != len(measurements):
         raise ValueError("init must provide one signal per source")
+    if any(len(s) != len(mixture) for s in init):
+        raise ValueError("init signals must have the mixture's length")
     return [s.samples for s in init]
 
 
@@ -234,16 +247,29 @@ def misi(measurements, mixture, iterations, config, init=None, record_trace=Fals
     return SeparationResult(sources, trace if record_trace else None)
 
 
-def _descent_direction(samples, target_floored, spec, config):
-    """Normalized gradient d * istft(S |S|^(d-2) gradterm); true gradient / b."""
-    data = _stft_data(samples, config)
-    mag_f = np.maximum(np.abs(data), EPS_FLOOR)
+def _prepared_target(spec, measurements):
+    """Measurements floored at EPS_FLOOR, as :func:`_target_term` of them."""
+    return _target_term(spec, np.maximum(measurements.data, EPS_FLOOR))
+
+
+def _integrand(spec, target, spectrum):
+    """Overwrite spectrum S with S |S|^(d-2) gradterm and return it.
+
+    gradterm is the divergence's derivative at |S|^d (|S| floored at
+    EPS_FLOOR) against target, the :func:`_prepared_target` of the
+    measurements.  d istft of the result is the gradient divided by b.
+    """
+    mag = np.abs(spectrum)
+    np.maximum(mag, EPS_FLOOR, out=mag)
     if spec.d == 2:
-        integrand = data * _grad_term(spec, target_floored, mag_f**2)
+        np.square(mag, out=mag)
+        spectrum *= _model_grad(spec, target, mag)
     else:
         # |S|^(d-2) = 1/mag for d = 1
-        integrand = data * (_grad_term(spec, target_floored, mag_f) / mag_f)
-    return spec.d * _istft_data(integrand, config, samples.size)
+        grad = _model_grad(spec, target, mag)
+        grad /= mag
+        spectrum *= grad
+    return spectrum
 
 
 def objective_gradient(signal, measurements, spec, config):
@@ -255,11 +281,35 @@ def objective_gradient(signal, measurements, spec, config):
     Returns:
         Signal holding the gradient (same length and rate as the input).
     """
-    if measurements.d != spec.d:
-        raise ValueError("measurements exponent %d != spec.d %d" % (measurements.d, spec.d))
-    target = np.maximum(measurements.data, EPS_FLOOR)
-    direction = _descent_direction(signal.samples, target, spec, config)
-    return Signal(config.b * direction, signal.sample_rate)
+    _check_measurements([measurements], signal, config, d=spec.d)
+    integrand = _integrand(
+        spec, _prepared_target(spec, measurements), _stft_data(signal.samples, config)
+    )
+    gradient = config.b * spec.d * _istft_data(integrand, config, len(signal))
+    return Signal(gradient, signal.sample_rate)
+
+
+def _zero_mean_updates(current, targets, spec, step, config):
+    """step d istft(I_c - mean_c I) for every source c but the last.
+
+    I_c is the integrand of source c.  The C updates sum to zero, so the
+    last one is minus the sum of these and costs no inverse transform.
+    """
+    integrands = [
+        _integrand(spec, target, _stft_data(s, config))
+        for s, target in zip(current, targets)
+    ]
+    mean = integrands.pop()
+    for integrand in integrands:
+        mean += integrand
+    mean /= len(current)
+    updates = []
+    for integrand in integrands:
+        integrand -= mean
+        update = _istft_data(integrand, config, current[0].size)
+        update *= step * spec.d
+        updates.append(update)
+    return updates
 
 
 def projected_gradient(measurements, mixture, solver_config, stft_config, init=None):
@@ -269,6 +319,13 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
     r_c and |A s_c|^d with normalized step size, then project all estimates
     back onto sum_c s_c = x.  Initialization (amplitude masking unless init
     is given) is not projected.
+
+    The step and the projection are computed together.  With I_c the
+    integrand A s_c |A s_c|^(d-2) gradterm_c, source c moves by
+    -step d istft(I_c - mean_c I), plus (x - sum_c s_c) / C on the first
+    iteration, where the start is off the mixing set.  Those moves sum to
+    zero, so the last source takes minus the sum of the others': each
+    iteration runs C forward and C - 1 inverse transforms.
 
     Args:
         measurements: list of Measurements (length >= 2) sharing the
@@ -290,20 +347,22 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
     current = _initial_sources(
         "projected_gradient", measurements, mixture, stft_config, spec.d, init
     )
-    targets = [np.maximum(r.data, EPS_FLOOR) for r in measurements]
+    targets = [_prepared_target(spec, r) for r in measurements]
     record = solver_config.record_trace
     trace = []
     if record:
         trace.append(_objectives(spec, measurements, current, stft_config))
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            stepped = [
-                s
-                - solver_config.step_size
-                * _descent_direction(s, target, spec, stft_config)
-                for s, target in zip(current, targets)
-            ]
-            current = _project(stepped, mixture.samples)
+            updates = _zero_mean_updates(
+                current, targets, spec, solver_config.step_size, stft_config
+            )
+            if t == 0:
+                # the start is off the mixing set; later iterates stay on it
+                current = _project(current, mixture.samples)
+            for s, update in zip(current, updates):
+                s -= update
+                current[-1] += update
         # before any Signal is built: Signal rejects non-finite samples
         if not all(np.all(np.isfinite(y)) for y in current):
             raise SolverDivergedError(t)

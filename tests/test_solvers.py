@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,17 @@ class TestObjectiveGradient:
         with pytest.raises(ValueError):
             objective_gradient(signal, meas, DivergenceSpec(1.0, "right", 2), CFG)
 
+    def test_grid_mismatch_rejected(self):
+        rng = np.random.default_rng(SEED + 24)
+        signal = Signal(rng.standard_normal(500))
+        meas = Measurements(np.abs(stft(Signal(rng.standard_normal(900)), CFG).data), 1)
+        spec = DivergenceSpec(1.0, "right", 1)
+        with pytest.raises(ValueError, match="does not match the analysis grid"):
+            objective_gradient(signal, meas, spec, CFG)
+        # the same error as the objective itself
+        with pytest.raises(ValueError, match="does not match the analysis grid"):
+            objective(spec, meas, signal, CFG)
+
 
 class TestMisi:
     def test_needs_two_sources(self):
@@ -205,6 +218,15 @@ class TestMisi:
         meas = _random_measurements(rng, 1000, 1)
         with pytest.raises(ValueError):
             misi(meas, x, 3, CFG)
+
+    def test_init_length_mismatch_rejected(self):
+        rng = np.random.default_rng(SEED + 25)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        for length in (999, 1001, 1500):
+            init = [Signal(rng.standard_normal(length)) for _ in range(2)]
+            with pytest.raises(ValueError, match="mixture's length"):
+                misi(meas, x, 3, CFG, init=init)
 
     def test_estimates_sum_to_mixture(self):
         rng = np.random.default_rng(SEED + 14)
@@ -342,6 +364,16 @@ class TestProjectedGradient:
         with pytest.raises(ValueError):
             projected_gradient(meas, x, cfg, CFG)
 
+    def test_init_length_mismatch_rejected(self):
+        rng = np.random.default_rng(SEED + 26)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        cfg = SolverConfig(DivergenceSpec(1.0, "left", 1), step_size=1e-3)
+        for length in (999, 1001, 1500):
+            init = [Signal(rng.standard_normal(length)), x]
+            with pytest.raises(ValueError, match="mixture's length"):
+                projected_gradient(meas, x, cfg, CFG, init=init)
+
     def test_trace_shape(self):
         rng = np.random.default_rng(SEED + 24)
         x = Signal(rng.standard_normal(2000))
@@ -356,6 +388,25 @@ class TestProjectedGradient:
         assert isinstance(res, SeparationResult)
         assert len(res.objective_trace) == 4
         assert all(len(row) == 2 for row in res.objective_trace)
+
+
+    @pytest.mark.parametrize("beta, direction, d", [(1.5, "left", 1), (0.5, "right", 2)])
+    def test_peak_memory_within_seven_spectrograms(self, beta, direction, d):
+        # 2 s at 16 kHz, two sources, five iterations, amplitude-mask start
+        config = StftConfig(1024, 256)
+        rng = np.random.default_rng(SEED + 27)
+        x = Signal(rng.standard_normal(32000))
+        meas = _random_measurements(rng, 32000, 2, d=d, config=config)
+        cfg = SolverConfig(DivergenceSpec(beta, direction, d), 1e-3, 5)
+        projected_gradient(meas, x, cfg, config)
+        tracemalloc.start()
+        try:
+            projected_gradient(meas, x, cfg, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectrogram = meas[0].data.size * np.dtype(np.complex128).itemsize
+        assert peak <= 7 * spectrogram
 
 
 class TestSolverConfig:

@@ -218,6 +218,74 @@ class TestIstft:
             istft(ComplexSpectrogram(spec_data, cfg), 100)
 
 
+def _loop_stft(x, config):
+    # one rfft per frame over the head-padded, tail-completed signal
+    win, hop = config.win_length, config.hop
+    window = make_window(win)
+    n_frames = config.n_frames(x.size)
+    padded = np.zeros((n_frames - 1) * hop + win)
+    padded[win - hop : win - hop + x.size] = x
+    columns = [
+        np.fft.rfft(padded[m * hop : m * hop + win] * window, norm="ortho")
+        for m in range(n_frames)
+    ]
+    return np.stack(columns, axis=1)
+
+
+def _loop_istft(data, config, length):
+    # one irfft per frame, overlap-added frame by frame in frame order
+    win, hop = config.win_length, config.hop
+    window = make_window(win)
+    buf = np.zeros((data.shape[1] - 1) * hop + win)
+    for m in range(data.shape[1]):
+        frame = np.fft.irfft(data[:, m], n=win, norm="ortho") * window
+        buf[m * hop : m * hop + win] += frame
+    kept = buf[win - hop :][:length] / normalization_constant(config)
+    return np.concatenate([kept, np.zeros(length - kept.size)])
+
+
+def _length_for_frames(config, n_frames):
+    # the longest signal analysed into n_frames frames
+    return n_frames * config.hop - config.head_pad
+
+
+# frame counts below, at and past one transform block of 128 frames, and
+# signals shorter than the hop
+FRAME_LOOP_CASES = [
+    (StftConfig(32, 8), _length_for_frames(StftConfig(32, 8), n))
+    for n in (5, 127, 128, 129, 256, 293)
+] + [
+    (StftConfig(24, 8), _length_for_frames(StftConfig(24, 8), 200) - 5),
+    (StftConfig(6, 2), 1),
+    (StftConfig(32, 8), 1),
+    (StftConfig(32, 8), 7),
+    (StftConfig(64, 16), 15),
+    (StftConfig(1024, 256), 32000),
+    (StftConfig(1024, 256), 40000),
+]
+
+
+class TestFrameLoopReference:
+    @pytest.mark.parametrize("config, length", FRAME_LOOP_CASES)
+    def test_stft_and_istft_equal_frame_loops(self, config, length):
+        rng = np.random.default_rng(SEED + length)
+        x = rng.standard_normal(length)
+        spec = stft(Signal(x), config)
+        assert np.array_equal(spec.data, _loop_stft(x, config))
+        noise = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(
+            spec.data.shape
+        )
+        for data in (spec.data, noise):
+            for target in (length, max(1, length - 3), length + 2 * config.hop + 1):
+                got = istft(ComplexSpectrogram(data, config), target).samples
+                assert np.array_equal(got, _loop_istft(data, config, target))
+
+    def test_cases_straddle_the_block(self):
+        frames = {config.n_frames(length) for config, length in FRAME_LOOP_CASES}
+        assert {127, 128, 129, 256, 293} <= frames
+        assert any(length < config.hop for config, length in FRAME_LOOP_CASES)
+
+
 class TestMagnitudePower:
     def test_values(self):
         cfg = StftConfig(8, 2)
