@@ -190,52 +190,32 @@ def symmetry_weights(config):
     return weights
 
 
-# frames per transform block: bounds the windowed-frame and synthesis-frame
-# temporaries to _BLOCK x win_length samples whatever the signal length
-_BLOCK = 128
-
-
 def _stft_data(x, config):
-    """Raw analysis on a bare sample array; no validation, no wrapping.
-
-    Frames are windowed and transformed _BLOCK at a time straight into the
-    spectrogram, so no full-size copy of the frames is made.
-    """
+    """Raw analysis on a bare sample array; no validation, no wrapping."""
     n_frames = config.n_frames(x.size)
     padded = np.zeros((n_frames - 1) * config.hop + config.win_length)
     padded[config.head_pad : config.head_pad + x.size] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, config.win_length)
     frames = frames[:: config.hop]
-    out = np.empty((n_frames, config.n_bins), dtype=np.complex128)
-    work = np.empty((min(n_frames, _BLOCK), config.win_length))
-    for m in range(0, n_frames, _BLOCK):
-        block = work[: n_frames - m]
-        np.multiply(frames[m : m + _BLOCK], config.window, out=block)
-        np.fft.rfft(block, axis=1, norm="ortho", out=out[m : m + _BLOCK])
-    return out.T
+    return np.fft.rfft(frames * config.window, axis=1, norm="ortho").T
 
 
 def _istft_data(data, config, target_length):
     """Raw synthesis to a bare sample array; no validation, no wrapping.
 
-    Frames are synthesised _BLOCK at a time and overlap-added as
-    win_length/hop strided adds of hop-long segments, last segment first.
-    Every output sample thus sums its frames in frame order, as a loop over
-    frames would.
+    Frames are overlap-added as win_length/hop strided adds of hop-long
+    segments, last segment first.  Every output sample thus sums its frames
+    in frame order, as a loop over frames would.
     """
     hop, overlap = config.hop, config.win_length // config.hop
     n_frames = data.shape[1]
+    frames = np.fft.irfft(data.T, n=config.win_length, axis=1, norm="ortho")
+    frames *= config.window
+    segments = frames.reshape(n_frames, overlap, hop)
     buf = np.zeros((n_frames - 1) * hop + config.win_length)
     chunks = buf.reshape(-1, hop)
-    work = np.empty((min(n_frames, _BLOCK), config.win_length))
-    for m in range(0, n_frames, _BLOCK):
-        block = work[: n_frames - m]
-        np.fft.irfft(data.T[m : m + _BLOCK], n=config.win_length, axis=1,
-                     norm="ortho", out=block)
-        block *= config.window
-        segments = block.reshape(len(block), overlap, hop)
-        for k in reversed(range(overlap)):
-            chunks[m + k : m + k + len(block)] += segments[:, k]
+    for k in reversed(range(overlap)):
+        chunks[k : k + n_frames] += segments[:, k]
     out = np.zeros(target_length)
     avail = min(target_length, buf.size - config.head_pad)
     if avail > 0:
