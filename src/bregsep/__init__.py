@@ -20,6 +20,7 @@ from .divergence import (
 from .metrics import sdr, sdri
 from .mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from .solvers import (
+    PgdStart,
     SeparationResult,
     SolverConfig,
     SolverDivergedError,
@@ -27,6 +28,7 @@ from .solvers import (
     griffin_lim,
     misi,
     objective_gradient,
+    pgd_start,
     project_to_mixture,
     projected_gradient,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "DivergenceSpec",
     "Measurements",
     "NotColaError",
+    "PgdStart",
     "ProviderSpec",
     "SeparationResult",
     "Signal",
@@ -74,6 +77,7 @@ __all__ = [
     "normalization_constant",
     "objective",
     "objective_gradient",
+    "pgd_start",
     "project_to_mixture",
     "projected_gradient",
     "provide_spectrograms",

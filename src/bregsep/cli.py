@@ -34,6 +34,7 @@ from .solvers import (
     amplitude_mask_init,
     griffin_lim,
     misi,
+    pgd_start,
     projected_gradient,
 )
 from .transform import StftConfig
@@ -64,6 +65,18 @@ def _choice(options, cast=str):
     return convert
 
 
+def _nonnegative(cast):
+    """Build a converter that casts and rejects values below zero."""
+
+    def convert(text):
+        value = cast(text)
+        if value < 0:
+            raise ValueError("expected a value >= 0, got %r" % text)
+        return value
+
+    return convert
+
+
 def _value_list(cast):
     """Build a converter for comma-separated lists."""
 
@@ -88,7 +101,7 @@ _CONVERTERS = {
     "directions": _value_list(_choice(("right", "left"))),
     "est": str,
     "hop": int,
-    "iterations": int,
+    "iterations": _nonnegative(int),
     "manifest": str,
     "mixture_id": str,
     "noise": str,
@@ -466,22 +479,28 @@ def _cmd_sweep(ns):
             measurements, init, sdr_init = _initialize(
                 speech, scaled, mixture, provider, d, stft_config
             )
-            cells = itertools.product(betas, ns["directions"], steps)
-            for beta, direction, step in cells:
+            for beta, direction in itertools.product(betas, ns["directions"]):
                 spec = DivergenceSpec(beta, direction, d)
-                solver = SolverConfig(spec, step, ns["iterations"])
-                _, status, value, improvement = _run_and_score(
-                    lambda: projected_gradient(
-                        measurements, mixture, solver, stft_config, init=init
-                    ).sources,
-                    speech,
-                    sdr_init,
-                )
-                records.append(Row(
-                    "pgd", beta, d, direction, step, row["snr_db"], ns["sigma"],
-                    row["seed"], row["mixture_id"], status, sdr_init, value,
-                    improvement,
-                ))
+                # the first iteration up to the step, shared by every step size
+                start = pgd_start(measurements, mixture, spec, stft_config, init)
+                for step in steps:
+                    solver = SolverConfig(spec, step, ns["iterations"])
+                    # scored and dropped: held into the next cell, next to
+                    # the shared start, they raised the sweep's peak memory
+                    status, value, improvement = _run_and_score(
+                        lambda: projected_gradient(
+                            measurements, mixture, solver, stft_config, start=start
+                        ).sources,
+                        speech,
+                        sdr_init,
+                    )[1:]
+                    records.append(Row(
+                        "pgd", beta, d, direction, step, row["snr_db"],
+                        ns["sigma"], row["seed"], row["mixture_id"], status,
+                        sdr_init, value, improvement,
+                    ))
+                # freed before the next start or measurements are built
+                start = None
     records.sort(
         key=lambda r: (r.mixture_id, r.beta, r.step_size, r.d, r.direction)
     )

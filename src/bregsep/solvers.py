@@ -11,8 +11,12 @@ normalized step, its update reduces exactly to MISI.  Because the transform
 is linear, a gradient step followed by the projection equals the step along
 the source's integrand minus the mean integrand over sources; those C steps
 sum to zero, so each iteration costs C forward transforms and C - 1 inverse
-transforms.  MISI keeps its own Griffin-Lim step and shares only the
-transform kernel: it is the reference PGD is checked against.
+transforms.  At the first iteration that step is linear in the step size:
+:func:`pgd_start` computes everything but the scaling once, and runs that
+differ only in step size share it read-only (``projected_gradient(...,
+start=...)``); a run without one builds its own and scales it in place.
+MISI keeps its own Griffin-Lim step and shares only the transform kernel:
+it is the reference PGD is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .divergence import (
     _target_term,
     objective,
 )
-from .transform import Signal, _istft_data, _stft_data
+from .transform import Signal, StftConfig, _istft_data, _stft_data
 
 
 class SolverDivergedError(RuntimeError):
@@ -117,7 +121,8 @@ def _check_measurements(measurements, mixture, config, d=None):
 
 
 def _amplitude_mask(measurements, mixture, config):
-    amplitudes = [r.data if r.d == 1 else np.sqrt(r.data) for r in measurements]
+    # each amplitude is built just before its synthesis, not all up front
+    amplitudes = (r.data if r.d == 1 else np.sqrt(r.data) for r in measurements)
     spectrum = _stft_data(mixture.samples, config)
     return _phase_synthesis(amplitudes, spectrum, config, len(mixture))
 
@@ -289,11 +294,12 @@ def objective_gradient(signal, measurements, spec, config):
     return Signal(gradient, signal.sample_rate)
 
 
-def _zero_mean_updates(current, targets, spec, step, config):
-    """step d istft(I_c - mean_c I) for every source c but the last.
+def _zero_mean_updates(current, targets, spec, config):
+    """istft(I_c - mean_c I) for every source c but the last.
 
-    I_c is the integrand of source c.  The C updates sum to zero, so the
-    last one is minus the sum of these and costs no inverse transform.
+    I_c is the integrand of source c.  Scaled by step d these are the
+    sources' moves; the C moves sum to zero, so the last one is minus the
+    sum of these and costs no inverse transform.
     """
     integrands = [
         _integrand(spec, target, _stft_data(s, config))
@@ -303,16 +309,91 @@ def _zero_mean_updates(current, targets, spec, step, config):
     for integrand in integrands:
         mean += integrand
     mean /= len(current)
-    updates = []
+    directions = []
     for integrand in integrands:
         integrand -= mean
-        update = _istft_data(integrand, config, current[0].size)
-        update *= step * spec.d
-        updates.append(update)
-    return updates
+        directions.append(_istft_data(integrand, config, current[0].size))
+    return directions
 
 
-def projected_gradient(measurements, mixture, solver_config, stft_config, init=None):
+@dataclass(frozen=True, eq=False)
+class PgdStart:
+    """The step-independent part of PGD's first iteration; see :func:`pgd_start`.
+
+    sources: the start's sample arrays; targets: the prepared targets, one
+    per source; direction: istft(I_c - mean_c I) at the start for every
+    source c but the last.  measurements, mixture, spec and config record
+    what the start was built for.  Runs that share a start only read it.
+    """
+
+    measurements: tuple
+    mixture: Signal
+    spec: DivergenceSpec
+    config: StftConfig
+    sources: list
+    targets: list
+    direction: list
+
+
+def pgd_start(measurements, mixture, spec, stft_config, init=None):
+    """Validate a PGD problem and compute its first iteration up to the step.
+
+    At the first iteration source c moves by -step d direction_c, plus the
+    projection onto the mixing set; direction_c depends on the start, the
+    measurements and spec but not on the step.  Runs that differ only in
+    step size can share one start through projected_gradient(start=...),
+    which leaves it as built.
+
+    Args:
+        measurements: list of Measurements (length >= 2) sharing spec.d.
+        mixture: mixture Signal.
+        spec: DivergenceSpec.
+        stft_config: StftConfig.
+        init: optional list of starting Signals (amplitude masking if None).
+
+    Returns:
+        PgdStart.
+    """
+    sources = _initial_sources(
+        "projected_gradient", measurements, mixture, stft_config, spec.d, init
+    )
+    targets = [_prepared_target(spec, r) for r in measurements]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        direction = _zero_mean_updates(sources, targets, spec, stft_config)
+    return PgdStart(
+        tuple(measurements),
+        mixture,
+        # a copy, since a DivergenceSpec can be changed after this call
+        DivergenceSpec(spec.beta, spec.direction, spec.d),
+        stft_config,
+        sources,
+        targets,
+        direction,
+    )
+
+
+def _check_start(start, measurements, mixture, spec, config, init):
+    """Reject a start built for another problem; identity and scalars only."""
+    if init is not None:
+        raise ValueError("pass init or start, not both")
+    same_problem = (
+        start.mixture is mixture
+        and len(start.measurements) == len(measurements)
+        and all(a is b for a, b in zip(start.measurements, measurements))
+    )
+    if not same_problem:
+        raise ValueError("start was built for another mixture or measurements")
+    built = start.spec
+    if (built.beta, built.direction, built.d) != (spec.beta, spec.direction, spec.d):
+        raise ValueError("start was built for another divergence")
+    grid = start.config
+    if (grid.win_length, grid.hop) != (config.win_length, config.hop):
+        raise ValueError("start was built for another analysis grid")
+
+
+def projected_gradient(
+    measurements, mixture, solver_config, stft_config, init=None, start=None
+):
     """Separate sources by projected gradient descent on the mixing set.
 
     Per iteration and source: take a gradient step on the divergence between
@@ -327,6 +408,12 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
     zero, so the last source takes minus the sum of the others': each
     iteration runs C forward and C - 1 inverse transforms.
 
+    The first iteration's istft(I_c - mean_c I) does not depend on the step.
+    Without start, this call builds it with :func:`pgd_start` (unless there
+    are no iterations, when no transform runs) and scales it in place.  A
+    start passed in is shared: it is only read, so runs that differ in step
+    size alone give the same results from one start as from their own.
+
     Args:
         measurements: list of Measurements (length >= 2) sharing the
             exponent solver_config.spec.d.
@@ -334,7 +421,9 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
         solver_config: SolverConfig (step size, iterations, divergence,
             trace recording).
         stft_config: StftConfig.
-        init: optional list of starting Signals.
+        init: optional list of starting Signals; not with start.
+        start: optional PgdStart built for these measurements and mixture
+            objects, this divergence and this grid.
 
     Returns:
         SeparationResult; objective_trace is populated iff record_trace.
@@ -344,22 +433,38 @@ def projected_gradient(measurements, mixture, solver_config, stft_config, init=N
             on the exception).
     """
     spec = solver_config.spec
-    current = _initial_sources(
-        "projected_gradient", measurements, mixture, stft_config, spec.d, init
-    )
-    targets = [_prepared_target(spec, r) for r in measurements]
+    shared = start is not None
+    if shared:
+        _check_start(start, measurements, mixture, spec, stft_config, init)
+    elif solver_config.iterations:
+        start = pgd_start(measurements, mixture, spec, stft_config, init)
+    if start is None:
+        current = _initial_sources(
+            "projected_gradient", measurements, mixture, stft_config, spec.d, init
+        )
+    else:
+        current, targets, directions = start.sources, start.targets, start.direction
+        # a start built here is freed array by array as the run moves past it
+        start = None
+    scale = solver_config.step_size * spec.d
     record = solver_config.record_trace
     trace = []
     if record:
         trace.append(_objectives(spec, measurements, current, stft_config))
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            updates = _zero_mean_updates(
-                current, targets, spec, solver_config.step_size, stft_config
-            )
             if t == 0:
                 # the start is off the mixing set; later iterates stay on it
                 current = _project(current, mixture.samples)
+            else:
+                directions = _zero_mean_updates(current, targets, spec, stft_config)
+            if t == 0 and shared:
+                # a shared start is only read
+                updates = [direction * scale for direction in directions]
+            else:
+                updates = directions
+                for update in updates:
+                    update *= scale
             for s, update in zip(current, updates):
                 s -= update
                 current[-1] += update

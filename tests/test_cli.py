@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bregsep import cli
+from bregsep import cli, solvers
 from bregsep.audio import load_wav, write_wav
 from bregsep.metrics import sdr
 from bregsep.mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
@@ -208,6 +208,18 @@ class TestSeparate:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("algo", ["amplitude_mask", "pgd"])
+    def test_negative_iterations_rejected(self, wavs, capsys, algo):
+        with pytest.raises(SystemExit) as err:
+            _separate([
+                "--speech", wavs["speech"], "--noise", wavs["noise"],
+                "--algo", algo, "--iterations", "-3",
+            ])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--iterations" in captured.err
+
     def test_missing_noise_rejected(self, wavs, capsys):
         code = _separate(["--speech", wavs["speech"]])
         assert code == 2
@@ -239,6 +251,18 @@ class TestConfigFile:
         ])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_negative_iterations_in_config_rejected(self, wavs, capsys):
+        cfg = wavs["dir"] / "run.cfg"
+        cfg.write_text("[separate]\nalgo = amplitude_mask\niterations = -3\n")
+        code = cli.main([
+            "separate", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--config", str(cfg),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ">= 0" in captured.err
 
     def test_missing_config_rejected(self, wavs, capsys):
         code = cli.main([
@@ -330,6 +354,47 @@ class TestSweep:
             res = misi(meas, mixture, 2, config, init=init)
             want = sdr(speech, res.sources[0]) - sdr(speech, init[0])
             assert abs(float(row["sdri"]) - want) < 1e-6
+
+    def test_one_solver_call_per_cell(self, sweep_setup, capsys, monkeypatch):
+        # bench/ times the sweep and records its spans through this name
+        calls = []
+        original = cli.projected_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("start"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "projected_gradient", counted)
+        code, _ = _sweep(sweep_setup, "counted.csv")
+        assert code == 0
+        # 2 mixtures x 2 betas x 2 steps; one start per (mixture, beta)
+        assert len(calls) == 8
+        assert len({id(start) for start in calls[::2]}) == 4
+        assert all(a is b for a, b in zip(calls[::2], calls[1::2]))
+
+    def test_first_iteration_once_per_group(self, sweep_setup, capsys, monkeypatch):
+        runs = []
+        original = solvers._zero_mean_updates
+
+        def counted(*args):
+            runs.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_zero_mean_updates", counted)
+        code, out = _sweep(sweep_setup, "first.csv", ["--iterations", "3"])
+        assert code == 0
+        status = HEADER_FIELDS.index("status")
+        lines = out.read_text().strip().split("\n")[1:]
+        assert all(line.split(",")[status] == "ok" for line in lines)
+        # 4 (mixture, beta) groups of 2 steps: one first iteration per
+        # group, then 2 more iterations per cell
+        assert len(runs) == 4 + 8 * 2
+
+    def test_negative_iterations_rejected(self, sweep_setup, capsys):
+        with pytest.raises(SystemExit) as err:
+            _sweep(sweep_setup, "negative.csv", ["--iterations", "-1"])
+        assert err.value.code == 2
+        assert "--iterations" in capsys.readouterr().err
 
     def test_test_split_selected_by_flag(self, sweep_setup, capsys):
         code, out = _sweep(sweep_setup, "test_split.csv", ["--split", "test"])

@@ -10,6 +10,7 @@ from bregsep.solvers import (
     SolverConfig,
     SolverDivergedError,
     misi,
+    pgd_start,
     projected_gradient,
 )
 from bregsep.transform import (
@@ -184,3 +185,66 @@ def test_pgd_stays_at_an_exact_three_source_fit(seed, length, beta, direction, d
     out = projected_gradient(measurements, mixture, solver, PGD_CONFIG, init=sources)
     for got, want in zip(out.sources, sources):
         assert np.max(np.abs(got.samples - want.samples)) < 1e-10
+
+
+def _outcome(run):
+    """(iteration of divergence or None, result or None) of one PGD run."""
+    try:
+        return None, run()
+    except SolverDivergedError as err:
+        return err.iteration, None
+
+
+@FEW
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 600),
+    st.sampled_from((2, 3)),
+    st.floats(0.0, 2.0),
+    st.sampled_from(("right", "left")),
+    st.sampled_from((1, 2)),
+    # 1e300 overflows: the run diverges
+    st.lists(
+        st.one_of(st.sampled_from((0.0, 1.0, 1e300)), st.floats(1e-4, 100.0)),
+        min_size=2,
+        max_size=5,
+        unique=True,
+    ),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_shared_start_equals_own_start(
+    seed, length, count, beta, direction, d, steps, iterations, masked, record
+):
+    rng = np.random.default_rng(seed)
+    mixture = Signal(rng.standard_normal(length))
+    measurements = [
+        magnitude_power(stft(Signal(rng.standard_normal(length)), PGD_CONFIG), d)
+        for _ in range(count)
+    ]
+    init = None
+    if not masked:
+        init = [Signal(rng.standard_normal(length)) for _ in range(count)]
+    spec = DivergenceSpec(beta, direction, d)
+    start = pgd_start(measurements, mixture, spec, PGD_CONFIG, init)
+    # the steps come in drawn order, so one start serves them in any order
+    for step in steps:
+        solver = SolverConfig(spec, step, iterations, record)
+        own = _outcome(lambda: projected_gradient(
+            measurements, mixture, solver, PGD_CONFIG, init=init
+        ))
+        shared = _outcome(lambda: projected_gradient(
+            measurements, mixture, solver, PGD_CONFIG, start=start
+        ))
+        assert own[0] == shared[0]
+        if own[1] is None:
+            continue
+        for a, b in zip(own[1].sources, shared[1].sources):
+            assert np.array_equal(a.samples, b.samples)
+        if record:
+            assert np.array_equal(
+                own[1].objective_trace, shared[1].objective_trace, equal_nan=True
+            )
+        else:
+            assert shared[1].objective_trace is None

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bregsep import solvers
 from bregsep.divergence import DivergenceSpec, objective
 from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
@@ -13,6 +14,7 @@ from bregsep.solvers import (
     griffin_lim,
     misi,
     objective_gradient,
+    pgd_start,
     project_to_mixture,
     projected_gradient,
 )
@@ -114,6 +116,22 @@ class TestAmplitudeMaskInit:
         for r, est in zip(meas, out):
             expected = istft(ComplexSpectrogram(r.data, CFG), 2000).samples
             assert np.max(np.abs(est.samples - expected)) < 1e-12
+
+    def test_power_peak_memory_within_six_spectrograms(self):
+        # d = 2: each square root is taken just before its synthesis
+        config = StftConfig(1024, 256)
+        rng = np.random.default_rng(SEED + 28)
+        x = Signal(rng.standard_normal(32000))
+        meas = _random_measurements(rng, 32000, 2, d=2, config=config)
+        amplitude_mask_init(meas, x, config)
+        tracemalloc.start()
+        try:
+            amplitude_mask_init(meas, x, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectrogram = meas[0].data.size * np.dtype(np.complex128).itemsize
+        assert peak <= 6 * spectrogram
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(SEED + 5)
@@ -407,6 +425,58 @@ class TestProjectedGradient:
             tracemalloc.stop()
         spectrogram = meas[0].data.size * np.dtype(np.complex128).itemsize
         assert peak <= 7 * spectrogram
+
+
+class TestPgdStart:
+    def _problem(self):
+        rng = np.random.default_rng(SEED + 29)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        spec = DivergenceSpec(1.5, "left", 1)
+        return x, meas, spec, pgd_start(meas, x, spec, CFG)
+
+    def test_init_and_start_together_rejected(self):
+        x, meas, spec, start = self._problem()
+        cfg = SolverConfig(spec, 1e-3, 2)
+        init = [Signal(s) for s in start.sources]
+        with pytest.raises(ValueError, match="init or start"):
+            projected_gradient(meas, x, cfg, CFG, init=init, start=start)
+
+    def test_start_for_another_problem_rejected(self):
+        x, meas, spec, start = self._problem()
+        same_samples = Signal(x.samples.copy())
+        cases = [
+            (meas, x, DivergenceSpec(1.0, "left", 1), CFG, "divergence"),
+            (meas, x, DivergenceSpec(1.5, "right", 1), CFG, "divergence"),
+            (meas, x, DivergenceSpec(1.5, "left", 2), CFG, "divergence"),
+            (meas, x, spec, StftConfig(256, 128), "grid"),
+            (meas, same_samples, spec, CFG, "mixture"),
+            (list(reversed(meas)), x, spec, CFG, "measurements"),
+            (meas[:1], x, spec, CFG, "measurements"),
+            (meas + meas[:1], x, spec, CFG, "measurements"),
+        ]
+        for other_meas, mixture, other_spec, config, message in cases:
+            cfg = SolverConfig(other_spec, 1e-3, 2)
+            with pytest.raises(ValueError, match=message):
+                projected_gradient(other_meas, mixture, cfg, config, start=start)
+        # the same objects and values in a fresh spec and config are accepted
+        cfg = SolverConfig(DivergenceSpec(1.5, "left", 1), 1e-3, 2)
+        projected_gradient(list(meas), x, cfg, StftConfig(256, 64), start=start)
+
+    def test_zero_iterations_run_no_transform(self, monkeypatch):
+        x, meas, spec, start = self._problem()
+        init = [Signal(s) for s in start.sources]
+
+        def refuse(*args):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(solvers, "_stft_data", refuse)
+        monkeypatch.setattr(solvers, "_istft_data", refuse)
+        cfg = SolverConfig(spec, 1e-3, 0)
+        for kwargs in ({"init": init}, {"start": start}):
+            out = projected_gradient(meas, x, cfg, CFG, **kwargs)
+            for got, want in zip(out.sources, start.sources):
+                assert np.array_equal(got.samples, want)
 
 
 class TestSolverConfig:
