@@ -481,15 +481,20 @@ def _cmd_sweep(ns):
             )
             for beta, direction in itertools.product(betas, ns["directions"]):
                 spec = DivergenceSpec(beta, direction, d)
-                # the first iteration up to the step, shared by every step size
-                start = pgd_start(measurements, mixture, spec, stft_config, init)
+                # the first iteration up to the step, shared by every step
+                # size; a 0-iteration cell reads none of it, only the init
+                start = None
+                if ns["iterations"]:
+                    start = pgd_start(measurements, mixture, spec, stft_config, init)
+                cell_init = init if start is None else None
                 for step in steps:
                     solver = SolverConfig(spec, step, ns["iterations"])
                     # scored and dropped: held into the next cell, next to
                     # the shared start, they raised the sweep's peak memory
                     status, value, improvement = _run_and_score(
                         lambda: projected_gradient(
-                            measurements, mixture, solver, stft_config, start=start
+                            measurements, mixture, solver, stft_config,
+                            init=cell_init, start=start,
                         ).sources,
                         speech,
                         sdr_init,

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import (
+    DIRECTION_RIGHT,
     EPS_FLOOR,
     DivergenceSpec,
     _model_grad,
     _target_term,
-    objective,
 )
 from .transform import Signal, StftConfig, _istft_data, _stft_data
 
@@ -57,7 +57,6 @@ class SolverConfig:
     spec: DivergenceSpec = field(default_factory=lambda: DivergenceSpec(2.0))
     step_size: float = 1.0
     iterations: int = 5
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -69,15 +68,12 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SeparationResult:
-    """Estimated sources plus an optional per-iteration objective trace.
+    """Estimated sources of a separation solver, one Signal per source.
 
-    objective_trace[0] holds the per-source objectives at initialization and
-    objective_trace[t] after iteration t; it is None unless the solver was
-    asked to record it.
+    The objective of an estimate is :func:`bregsep.divergence.objective`.
     """
 
     sources: list
-    objective_trace: list | None
 
 
 def _phase_synthesis(amplitudes, spectrum, config, length):
@@ -95,13 +91,6 @@ def _project(estimates, x):
     """Sample arrays y_c + (x - sum_i y_i) / C, which sum to x."""
     residual = (x - np.sum(estimates, axis=0)) / len(estimates)
     return [y + residual for y in estimates]
-
-
-def _objectives(spec, measurements, current, config):
-    """Per-source :func:`objective` values of the sample arrays in current."""
-    return [
-        objective(spec, r, Signal(s), config) for r, s in zip(measurements, current)
-    ]
 
 
 def _check_measurements(measurements, mixture, config, d=None):
@@ -217,7 +206,7 @@ def project_to_mixture(estimates, mixture):
     return [Signal(s, mixture.sample_rate) for s in projected]
 
 
-def misi(measurements, mixture, iterations, config, init=None, record_trace=False):
+def misi(measurements, mixture, iterations, config, init=None):
     """Multiple-input spectrogram inversion.
 
     Starts from amplitude masking (or the supplied init) and alternates the
@@ -230,7 +219,6 @@ def misi(measurements, mixture, iterations, config, init=None, record_trace=Fals
         iterations: number of update/projection rounds, >= 0.
         config: StftConfig.
         init: optional list of starting Signals overriding amplitude masking.
-        record_trace: record the per-source quadratic objectives.
 
     Returns:
         SeparationResult.
@@ -238,23 +226,25 @@ def misi(measurements, mixture, iterations, config, init=None, record_trace=Fals
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     current = _initial_sources("misi", measurements, mixture, config, 1, init)
-    quad = DivergenceSpec(2.0, "right", 1)
-    trace = [_objectives(quad, measurements, current, config)] if record_trace else []
     for _ in range(iterations):
         updated = [
             _phase_synthesis([r.data], _stft_data(s, config), config, len(mixture))[0]
             for r, s in zip(measurements, current)
         ]
         current = _project(updated, mixture.samples)
-        if record_trace:
-            trace.append(_objectives(quad, measurements, current, config))
-    sources = [Signal(s, mixture.sample_rate) for s in current]
-    return SeparationResult(sources, trace if record_trace else None)
+    return SeparationResult([Signal(s, mixture.sample_rate) for s in current])
 
 
 def _prepared_target(spec, measurements):
-    """Measurements floored at EPS_FLOOR, as :func:`_target_term` of them."""
-    return _target_term(spec, np.maximum(measurements.data, EPS_FLOOR))
+    """Measurements floored at EPS_FLOOR, as :func:`_target_term` of them.
+
+    For "right" that is the floored measurements: the measurements
+    themselves, uncopied, when no bin is below the floor.
+    """
+    data = measurements.data
+    if spec.direction == DIRECTION_RIGHT and data.min() >= EPS_FLOOR:
+        return data
+    return _target_term(spec, np.maximum(data, EPS_FLOOR))
 
 
 def _integrand(spec, target, spectrum):
@@ -418,15 +408,15 @@ def projected_gradient(
         measurements: list of Measurements (length >= 2) sharing the
             exponent solver_config.spec.d.
         mixture: mixture Signal.
-        solver_config: SolverConfig (step size, iterations, divergence,
-            trace recording).
+        solver_config: SolverConfig (step size, iterations, divergence).
         stft_config: StftConfig.
         init: optional list of starting Signals; not with start.
         start: optional PgdStart built for these measurements and mixture
             objects, this divergence and this grid.
 
     Returns:
-        SeparationResult; objective_trace is populated iff record_trace.
+        SeparationResult.  Its arrays are new, also with 0 iterations: they
+        share no memory with init or start.
 
     Raises:
         SolverDivergedError: a non-finite iterate appeared (iteration index
@@ -447,10 +437,6 @@ def projected_gradient(
         # a start built here is freed array by array as the run moves past it
         start = None
     scale = solver_config.step_size * spec.d
-    record = solver_config.record_trace
-    trace = []
-    if record:
-        trace.append(_objectives(spec, measurements, current, stft_config))
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if t == 0:
@@ -471,8 +457,7 @@ def projected_gradient(
         # before any Signal is built: Signal rejects non-finite samples
         if not all(np.all(np.isfinite(y)) for y in current):
             raise SolverDivergedError(t)
-        if record:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trace.append(_objectives(spec, measurements, current, stft_config))
-    sources = [Signal(s, mixture.sample_rate) for s in current]
-    return SeparationResult(sources, trace if record else None)
+    if not solver_config.iterations:
+        # still the start's or init's own arrays, which a caller may reuse
+        current = [s.copy() for s in current]
+    return SeparationResult([Signal(s, mixture.sample_rate) for s in current])

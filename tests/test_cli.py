@@ -390,6 +390,20 @@ class TestSweep:
         # group, then 2 more iterations per cell
         assert len(runs) == 4 + 8 * 2
 
+    def test_zero_iterations_build_no_start(self, sweep_setup, capsys, monkeypatch):
+        runs = []
+        original = solvers._zero_mean_updates
+
+        def counted(*args):
+            runs.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_zero_mean_updates", counted)
+        code, out = _sweep(sweep_setup, "zero.csv", ["--iterations", "0"])
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 8
+        assert runs == []
+
     def test_negative_iterations_rejected(self, sweep_setup, capsys):
         with pytest.raises(SystemExit) as err:
             _sweep(sweep_setup, "negative.csv", ["--iterations", "-1"])

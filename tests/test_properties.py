@@ -212,10 +212,9 @@ def _outcome(run):
     ),
     st.integers(0, 3),
     st.booleans(),
-    st.booleans(),
 )
 def test_shared_start_equals_own_start(
-    seed, length, count, beta, direction, d, steps, iterations, masked, record
+    seed, length, count, beta, direction, d, steps, iterations, masked
 ):
     rng = np.random.default_rng(seed)
     mixture = Signal(rng.standard_normal(length))
@@ -230,7 +229,7 @@ def test_shared_start_equals_own_start(
     start = pgd_start(measurements, mixture, spec, PGD_CONFIG, init)
     # the steps come in drawn order, so one start serves them in any order
     for step in steps:
-        solver = SolverConfig(spec, step, iterations, record)
+        solver = SolverConfig(spec, step, iterations)
         own = _outcome(lambda: projected_gradient(
             measurements, mixture, solver, PGD_CONFIG, init=init
         ))
@@ -242,9 +241,3 @@ def test_shared_start_equals_own_start(
             continue
         for a, b in zip(own[1].sources, shared[1].sources):
             assert np.array_equal(a.samples, b.samples)
-        if record:
-            assert np.array_equal(
-                own[1].objective_trace, shared[1].objective_trace, equal_nan=True
-            )
-        else:
-            assert shared[1].objective_trace is None

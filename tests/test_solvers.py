@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from bregsep import solvers
-from bregsep.divergence import DivergenceSpec, objective
+from bregsep.divergence import EPS_FLOOR, DivergenceSpec, generator_prime, objective
 from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
-    SeparationResult,
     SolverConfig,
     SolverDivergedError,
     amplitude_mask_init,
@@ -53,6 +52,23 @@ def _fd_gradient(signal, meas, spec, config):
         j_down = objective(spec, meas, Signal(down), config)
         grad[i] = (j_up - j_down) / (2.0 * h)
     return grad
+
+
+def _objective_totals(meas, x, spec, step, iterations):
+    """Sum over sources of :func:`objective` after each of the first PGD iterations.
+
+    A k-iteration run ends at the k-th iterate of a longer one, so runs of
+    1 to iterations iterations give the objective along one run.  These are
+    feasible iterates only: the start is not on the mixing set.
+    """
+    totals = []
+    for k in range(1, iterations + 1):
+        res = projected_gradient(meas, x, SolverConfig(spec, step, k), CFG)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            totals.append(
+                sum(objective(spec, r, s, CFG) for r, s in zip(meas, res.sources))
+            )
+    return totals
 
 
 class TestProjectToMixture:
@@ -264,15 +280,6 @@ class TestMisi:
         assert np.max(np.abs(res.sources[0].samples - s1.samples)) < 1e-10
         assert np.max(np.abs(res.sources[1].samples - s2.samples)) < 1e-10
 
-    def test_trace_recording(self):
-        rng = np.random.default_rng(SEED + 16)
-        x = Signal(rng.standard_normal(2000))
-        meas = _random_measurements(rng, 2000, 2)
-        res = misi(meas, x, 3, CFG, record_trace=True)
-        assert len(res.objective_trace) == 4
-        assert all(len(row) == 2 for row in res.objective_trace)
-        assert misi(meas, x, 3, CFG).objective_trace is None
-
 
 class TestProjectedGradient:
     def test_matches_misi_for_quadratic_magnitude_fit(self):
@@ -339,21 +346,14 @@ class TestProjectedGradient:
         x = Signal(rng.standard_normal(2000))
         for beta, d, direction in [(0.0, 1, "right"), (1.0, 1, "left"), (2.0, 2, "right")]:
             meas = _random_measurements(rng, 2000, 2, d=d)
+            spec = DivergenceSpec(beta, direction, d)
             step = 1e-2
             for _ in range(21):
-                cfg = SolverConfig(
-                    DivergenceSpec(beta, direction, d),
-                    step_size=step,
-                    iterations=5,
-                    record_trace=True,
-                )
                 try:
-                    res = projected_gradient(meas, x, cfg, CFG)
+                    totals = _objective_totals(meas, x, spec, step, 5)
                 except SolverDivergedError:
                     step /= 2.0
                     continue
-                # feasible iterates only: entries after each full iteration
-                totals = [sum(row) for row in res.objective_trace[1:]]
                 diffs = np.diff(totals)
                 if np.all(diffs <= 1e-12 * max(abs(t) for t in totals)):
                     break
@@ -391,22 +391,6 @@ class TestProjectedGradient:
             init = [Signal(rng.standard_normal(length)), x]
             with pytest.raises(ValueError, match="mixture's length"):
                 projected_gradient(meas, x, cfg, CFG, init=init)
-
-    def test_trace_shape(self):
-        rng = np.random.default_rng(SEED + 24)
-        x = Signal(rng.standard_normal(2000))
-        meas = _random_measurements(rng, 2000, 2)
-        cfg = SolverConfig(
-            DivergenceSpec(1.5, "right", 1),
-            step_size=1e-3,
-            iterations=3,
-            record_trace=True,
-        )
-        res = projected_gradient(meas, x, cfg, CFG)
-        assert isinstance(res, SeparationResult)
-        assert len(res.objective_trace) == 4
-        assert all(len(row) == 2 for row in res.objective_trace)
-
 
     @pytest.mark.parametrize("beta, direction, d", [(1.5, "left", 1), (0.5, "right", 2)])
     def test_peak_memory_within_seven_spectrograms(self, beta, direction, d):
@@ -477,6 +461,38 @@ class TestPgdStart:
             out = projected_gradient(meas, x, cfg, CFG, **kwargs)
             for got, want in zip(out.sources, start.sources):
                 assert np.array_equal(got.samples, want)
+
+    def test_zero_iterations_share_no_memory_with_start_or_init(self):
+        # a result written into must not change later runs from the start
+        x, meas, spec, start = self._problem()
+        init = [Signal(s.copy()) for s in start.sources]
+        cfg = SolverConfig(spec, 1e-3, 2)
+        before = projected_gradient(meas, x, cfg, CFG, start=start)
+        given = [s.samples for s in init]
+        for kwargs, arrays in (({"init": init}, given), ({"start": start}, start.sources)):
+            out = projected_gradient(meas, x, SolverConfig(spec, 1e-3, 0), CFG, **kwargs)
+            for got, array in zip(out.sources, arrays):
+                assert not np.shares_memory(got.samples, array)
+                got.samples[:] = 0.0
+        after = projected_gradient(meas, x, cfg, CFG, start=start)
+        for a, b in zip(before.sources, after.sources):
+            assert np.array_equal(a.samples, b.samples)
+
+
+class TestPreparedTarget:
+    def test_floored_in_a_copy_only_when_a_bin_is_below_the_floor(self):
+        rng = np.random.default_rng(SEED + 30)
+        (meas,) = _random_measurements(rng, 1000, 1)
+        assert meas.data.min() >= EPS_FLOOR
+        assert solvers._prepared_target(DivergenceSpec(0.5), meas) is meas.data
+        meas.data[:, 0] = 0.0
+        kept = meas.data.copy()
+        floored = np.maximum(kept, EPS_FLOOR)
+        right = solvers._prepared_target(DivergenceSpec(0.5, "right"), meas)
+        left = solvers._prepared_target(DivergenceSpec(0.5, "left"), meas)
+        assert np.array_equal(right, floored)
+        assert np.array_equal(left, generator_prime(0.5, floored))
+        assert np.array_equal(meas.data, kept)
 
 
 class TestSolverConfig:
