@@ -15,6 +15,8 @@ transforms.  At the first iteration that step is linear in the step size:
 :func:`pgd_start` computes everything but the scaling once, and runs that
 differ only in step size share it read-only (``projected_gradient(...,
 start=...)``); a run without one builds its own and scales it in place.
+A PGD run stops with :class:`SolverDivergedError` at the first iterate
+that is non-finite or past an energy bound (see :func:`projected_gradient`).
 MISI keeps its own Griffin-Lim step and shares only the transform kernel:
 it is the reference PGD is checked against.
 """
@@ -32,17 +34,32 @@ from .divergence import (
     _model_grad,
     _target_term,
 )
-from .transform import Signal, StftConfig, _istft_data, _stft_data
+from .transform import (
+    Signal,
+    StftConfig,
+    _istft_data,
+    _stft_data,
+    symmetry_weights,
+)
+
+
+# how far past the problem's scale an iterate may go; see _energy_bound
+ENERGY_BOUND_FACTOR = 2.0
 
 
 class SolverDivergedError(RuntimeError):
-    """An iterate became non-finite; carries the offending iteration index."""
+    """An iterate was non-finite or past the energy bound.
 
-    def __init__(self, iteration):
+    iteration is the index of the first such iterate; reason is
+    "non-finite" or "energy bound".
+    """
+
+    def __init__(self, iteration, reason):
         super().__init__(
-            "solver diverged at iteration %d: non-finite iterate" % iteration
+            "solver diverged at iteration %d: %s" % (iteration, reason)
         )
         self.iteration = iteration
+        self.reason = reason
 
 
 @dataclass(eq=False)
@@ -221,7 +238,8 @@ def misi(measurements, mixture, iterations, config, init=None):
         init: optional list of starting Signals overriding amplitude masking.
 
     Returns:
-        SeparationResult.
+        SeparationResult.  Its arrays are new, also with 0 iterations: they
+        share no memory with init.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -232,6 +250,9 @@ def misi(measurements, mixture, iterations, config, init=None):
             for r, s in zip(measurements, current)
         ]
         current = _project(updated, mixture.samples)
+    if not iterations:
+        # still the init's own arrays, which a caller may reuse
+        current = [s.copy() for s in current]
     return SeparationResult([Signal(s, mixture.sample_rate) for s in current])
 
 
@@ -306,14 +327,35 @@ def _zero_mean_updates(current, targets, spec, config):
     return directions
 
 
+def _energy_bound(measurements, mixture, config):
+    """ENERGY_BOUND_FACTOR * max(||x||, max_c E_c): past it PGD has blown up.
+
+    E_c = sqrt(sum w r_c^(2/d) / b), with w the :func:`symmetry_weights`, is
+    the norm of any signal whose spectrogram magnitudes are r_c^(1/d).  It
+    gives the bound a scale on a silent mixture.
+    """
+    weights = symmetry_weights(config)
+    implied = 0.0
+    for r in measurements:
+        # per-bin sums of r^(2/d), without a temporary of the grid's size
+        if r.d == 1:
+            per_bin = np.einsum("ij,ij->i", r.data, r.data)
+        else:
+            per_bin = r.data.sum(axis=1)
+        implied = max(implied, float(weights @ per_bin))
+    scale = max(float(np.linalg.norm(mixture.samples)), np.sqrt(implied / config.b))
+    return ENERGY_BOUND_FACTOR * scale
+
+
 @dataclass(frozen=True, eq=False)
 class PgdStart:
     """The step-independent part of PGD's first iteration; see :func:`pgd_start`.
 
     sources: the start's sample arrays; targets: the prepared targets, one
     per source; direction: istft(I_c - mean_c I) at the start for every
-    source c but the last.  measurements, mixture, spec and config record
-    what the start was built for.  Runs that share a start only read it.
+    source c but the last; bound: the energy bound of :func:`_energy_bound`.
+    measurements, mixture, spec and config record what the start was built
+    for.  Runs that share a start only read it.
     """
 
     measurements: tuple
@@ -323,6 +365,7 @@ class PgdStart:
     sources: list
     targets: list
     direction: list
+    bound: float
 
 
 def pgd_start(measurements, mixture, spec, stft_config, init=None):
@@ -332,7 +375,7 @@ def pgd_start(measurements, mixture, spec, stft_config, init=None):
     projection onto the mixing set; direction_c depends on the start, the
     measurements and spec but not on the step.  Runs that differ only in
     step size can share one start through projected_gradient(start=...),
-    which leaves it as built.
+    which leaves it as built.  The start also holds the runs' energy bound.
 
     Args:
         measurements: list of Measurements (length >= 2) sharing spec.d.
@@ -359,6 +402,7 @@ def pgd_start(measurements, mixture, spec, stft_config, init=None):
         sources,
         targets,
         direction,
+        _energy_bound(measurements, mixture, stft_config),
     )
 
 
@@ -404,6 +448,12 @@ def projected_gradient(
     start passed in is shared: it is only read, so runs that differ in step
     size alone give the same results from one start as from their own.
 
+    The run stops at the first iterate that is non-finite or has blown up:
+    max_c ||s_c|| > ENERGY_BOUND_FACTOR * max(||x||, max_c E_c), where
+    E_c = sqrt(sum w r_c^(2/d) / b) is the norm source c's measurements
+    imply.  The bound is held on the start, so each iteration adds one norm
+    per source and no transform.
+
     Args:
         measurements: list of Measurements (length >= 2) sharing the
             exponent solver_config.spec.d.
@@ -419,8 +469,9 @@ def projected_gradient(
         share no memory with init or start.
 
     Raises:
-        SolverDivergedError: a non-finite iterate appeared (iteration index
-            on the exception).
+        SolverDivergedError: an iterate was non-finite or past the energy
+            bound; the exception carries its iteration index and the reason,
+            "non-finite" or "energy bound".
     """
     spec = solver_config.spec
     shared = start is not None
@@ -434,6 +485,7 @@ def projected_gradient(
         )
     else:
         current, targets, directions = start.sources, start.targets, start.direction
+        bound = start.bound
         # a start built here is freed array by array as the run moves past it
         start = None
     scale = solver_config.step_size * spec.d
@@ -454,9 +506,13 @@ def projected_gradient(
             for s, update in zip(current, updates):
                 s -= update
                 current[-1] += update
-        # before any Signal is built: Signal rejects non-finite samples
-        if not all(np.all(np.isfinite(y)) for y in current):
-            raise SolverDivergedError(t)
+            # before any Signal is built: Signal rejects non-finite samples.
+            # A NaN or infinite norm fails the test too.
+            if not all(np.linalg.norm(s) <= bound for s in current):
+                finite = all(np.all(np.isfinite(s)) for s in current)
+                raise SolverDivergedError(
+                    t, "energy bound" if finite else "non-finite"
+                )
     if not solver_config.iterations:
         # still the start's or init's own arrays, which a caller may reuse
         current = [s.copy() for s in current]

@@ -293,6 +293,33 @@ def sweep_setup(tmp_path):
     return {"dir": tmp_path, "manifest": str(manifest)}
 
 
+def _record_divergence(monkeypatch):
+    """Patch the sweep's solver name to record each SolverDivergedError."""
+    stopped = []
+    original = cli.projected_gradient
+
+    def recorded(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except solvers.SolverDivergedError as err:
+            stopped.append(err)
+            raise
+
+    monkeypatch.setattr(cli, "projected_gradient", recorded)
+    return stopped
+
+
+def _harmonic_speech(k, length):
+    """The acceptance corpus's speech stand-in."""
+    t = np.arange(length) / RATE
+    f0 = 110.0 + 35.0 * k
+    tone = np.zeros(length)
+    for harmonic, amp in ((1, 1.0), (2, 0.5), (3, 0.25)):
+        tone += amp * np.sin(2.0 * np.pi * f0 * harmonic * t)
+    tone *= 0.6 + 0.4 * np.sin(2.0 * np.pi * (1.5 + 0.3 * k) * t)
+    return Signal(0.3 * tone / np.max(np.abs(tone)), RATE)
+
+
 def _sweep(setup, csv_name, extra=()):
     out = setup["dir"] / csv_name
     code = cli.main([
@@ -380,15 +407,48 @@ class TestSweep:
             runs.append(1)
             return original(*args)
 
+        stopped_at = _record_divergence(monkeypatch)
         monkeypatch.setattr(solvers, "_zero_mean_updates", counted)
         code, out = _sweep(sweep_setup, "first.csv", ["--iterations", "3"])
         assert code == 0
         status = HEADER_FIELDS.index("status")
         lines = out.read_text().strip().split("\n")[1:]
-        assert all(line.split(",")[status] == "ok" for line in lines)
+        diverged = sum(line.split(",")[status] == "diverged" for line in lines)
+        assert diverged == len(stopped_at)
         # 4 (mixture, beta) groups of 2 steps: one first iteration per
-        # group, then 2 more iterations per cell
-        assert len(runs) == 4 + 8 * 2
+        # group, then per cell the iterations it ran after its first: 2,
+        # or t for a cell that diverged at iteration t
+        iterations = [err.iteration for err in stopped_at]
+        assert len(runs) == 4 + (8 - diverged) * 2 + sum(iterations)
+
+    def test_finite_blow_up_reports_diverged(self, tmp_path, capsys, monkeypatch):
+        # mix_00 of the acceptance corpus, as criterion 8 sweeps it.  This
+        # cell's run stays finite but blows up: before the energy bound it
+        # was reported "ok" at -94.45 dB SDRi (sdr -84.82 dB).
+        speech = tmp_path / "speech_00.wav"
+        noise = tmp_path / "noise_0.wav"
+        write_wav(speech, _harmonic_speech(0, 2 * RATE))
+        samples = np.random.default_rng(900).standard_normal(int(2.5 * RATE))
+        write_wav(noise, Signal(0.3 * samples / np.max(np.abs(samples)), RATE))
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("mix_00", speech.name, noise.name, 0.0, 1, "validation"),
+        ])
+        stopped_at = _record_divergence(monkeypatch)
+        out = tmp_path / "cell.csv"
+        code = cli.main([
+            "sweep", "--manifest", str(manifest), "--csv", str(out),
+            "--provider", "noisy_oracle", "--sigma", "0.5", "--seed", "0",
+            "--betas", "0", "--d-values", "1", "--directions", "right",
+            "--step-sizes", "0.0001",
+        ])
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        row = dict(zip(HEADER_FIELDS, lines[1].split(",")))
+        assert row["status"] == "diverged"
+        assert row["sdr"] == row["sdr_init"]
+        assert row["sdri"] == "0.000000"
+        assert [err.reason for err in stopped_at] == ["energy bound"]
 
     def test_zero_iterations_build_no_start(self, sweep_setup, capsys, monkeypatch):
         runs = []

@@ -109,10 +109,28 @@ def test_every_pgd_iterate_sums_to_the_mixture(seed, length, beta, direction, d)
         assert np.max(np.abs(stack.sum(axis=0) - mixture.samples)) < 1e-9 * scale
 
 
+def _blow_up_bound(measurements, mixture):
+    """2 max(||x||, max_c E_c), with E_c = sqrt(sum w r_c^(2/d) / b) the
+    norm that source c's measurements imply."""
+    weights = symmetry_weights(PGD_CONFIG)[:, None]
+    implied = max(
+        np.sqrt(np.sum(weights * r.data ** (2 / r.d)) / PGD_CONFIG.b)
+        for r in measurements
+    )
+    return 2.0 * max(np.linalg.norm(mixture), implied)
+
+
+def _peak_norm(sources):
+    return max(np.linalg.norm(s) for s in sources)
+
+
 def _reference_pgd(measurements, mixture, spec, step, iterations, init):
     """PGD as the paper states it: step every source along its own
-    gradient, then project the estimates onto the mixing set."""
+    gradient, then project the estimates onto the mixing set.
+
+    Returns every iterate, the first to the last."""
     current = list(init)
+    iterates = []
     for _ in range(iterations):
         stepped = []
         for s, r in zip(current, measurements):
@@ -124,7 +142,8 @@ def _reference_pgd(measurements, mixture, spec, step, iterations, init):
             stepped.append(s - step * spec.d * synth.samples)
         residual = (mixture - np.sum(stepped, axis=0)) / len(stepped)
         current = [y + residual for y in stepped]
-    return current
+        iterates.append(current)
+    return iterates
 
 
 # Below beta = 1 the gradient term grows like |S|^(beta - 2) at small
@@ -154,14 +173,22 @@ def test_pgd_matches_step_then_project(
     # independent of the mixture, so off the mixing set
     init = [rng.standard_normal(length) for _ in range(count)]
     spec = DivergenceSpec(beta, direction, d)
-    out = projected_gradient(
-        measurements,
-        Signal(mixture),
-        SolverConfig(spec, step, iterations),
-        PGD_CONFIG,
-        init=[Signal(s) for s in init],
-    )
-    ref = np.array(_reference_pgd(measurements, mixture, spec, step, iterations, init))
+    iterates = _reference_pgd(measurements, mixture, spec, step, iterations, init)
+    try:
+        out = projected_gradient(
+            measurements,
+            Signal(mixture),
+            SolverConfig(spec, step, iterations),
+            PGD_CONFIG,
+            init=[Signal(s) for s in init],
+        )
+    except SolverDivergedError as err:
+        # the reference passes the same bound at the same iterate
+        bound = _blow_up_bound(measurements, mixture)
+        assert all(_peak_norm(it) <= bound for it in iterates[: err.iteration])
+        assert _peak_norm(iterates[err.iteration]) > bound
+        return
+    ref = np.array(iterates[-1])
     got = np.array([s.samples for s in out.sources])
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(got - ref)) <= 1e-9 * scale
@@ -185,6 +212,34 @@ def test_pgd_stays_at_an_exact_three_source_fit(seed, length, beta, direction, d
     out = projected_gradient(measurements, mixture, solver, PGD_CONFIG, init=sources)
     for got, want in zip(out.sources, sources):
         assert np.max(np.abs(got.samples - want.samples)) < 1e-10
+
+
+@FEW
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 600),
+    st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+    st.sampled_from(("right", "left")),
+    st.sampled_from((1, 2)),
+    st.floats(1e-4, 1.0),
+)
+# a finite blow-up: past the bound at iteration 1
+@example(0, 400, 0.5, "right", 2, 1e-3)
+def test_no_returned_run_passes_the_energy_bound(seed, length, beta, direction, d, step):
+    mixture, measurements = _instance(seed, length, d)
+    bound = _blow_up_bound(measurements, mixture.samples)
+    diverged_at = None
+    # a k-iteration run ends at the k-th iterate of a longer one
+    for k in (1, 2, 3):
+        solver = SolverConfig(DivergenceSpec(beta, direction, d), step, k)
+        try:
+            out = projected_gradient(measurements, mixture, solver, PGD_CONFIG)
+        except SolverDivergedError as err:
+            assert diverged_at in (None, err.iteration)
+            diverged_at = err.iteration
+            continue
+        assert diverged_at is None
+        assert _peak_norm([s.samples for s in out.sources]) <= bound
 
 
 def _outcome(run):

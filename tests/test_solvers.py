@@ -270,6 +270,19 @@ class TestMisi:
         total = np.sum([s.samples for s in res.sources], axis=0)
         assert np.max(np.abs(total - x.samples)) < 1e-9
 
+    def test_zero_iterations_share_no_memory_with_init(self):
+        rng = np.random.default_rng(SEED + 16)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        init = [Signal(rng.standard_normal(1000)) for _ in range(2)]
+        kept = [s.samples.copy() for s in init]
+        out = misi(meas, x, 0, CFG, init=init)
+        for got, given, want in zip(out.sources, init, kept):
+            assert not np.shares_memory(got.samples, given.samples)
+            assert np.array_equal(got.samples, want)
+            got.samples[:] = 0.0
+            assert np.array_equal(given.samples, want)
+
     def test_stationary_at_exact_fit(self):
         rng = np.random.default_rng(SEED + 15)
         s1 = Signal(rng.standard_normal(3000))
@@ -309,6 +322,15 @@ class TestProjectedGradient:
                     iterations=iters,
                 )
                 m = meas if d == 1 else [Measurements(r.data**2, 2) for r in meas]
+                if beta == 0.0:
+                    # its first iterate is at 2.2 ||x||, and 55 ||x|| by the
+                    # fifth: a finite blow-up
+                    with pytest.raises(SolverDivergedError) as err:
+                        projected_gradient(m, x, cfg, CFG)
+                    assert (err.value.iteration, err.value.reason) == (
+                        0, "energy bound"
+                    )
+                    continue
                 res = projected_gradient(m, x, cfg, CFG)
                 total = np.sum([s.samples for s in res.sources], axis=0)
                 assert np.max(np.abs(total - x.samples)) < 1e-9
@@ -392,13 +414,17 @@ class TestProjectedGradient:
             with pytest.raises(ValueError, match="mixture's length"):
                 projected_gradient(meas, x, cfg, CFG, init=init)
 
-    @pytest.mark.parametrize("beta, direction, d", [(1.5, "left", 1), (0.5, "right", 2)])
-    def test_peak_memory_within_seven_spectrograms(self, beta, direction, d):
-        # 2 s at 16 kHz, two sources, five iterations, amplitude-mask start
+    def _two_second_problem(self, d):
         config = StftConfig(1024, 256)
         rng = np.random.default_rng(SEED + 27)
         x = Signal(rng.standard_normal(32000))
-        meas = _random_measurements(rng, 32000, 2, d=d, config=config)
+        return config, x, _random_measurements(rng, 32000, 2, d=d, config=config)
+
+    # both cases run all five iterations
+    @pytest.mark.parametrize("beta, direction, d", [(1.5, "left", 1), (1.0, "right", 2)])
+    def test_peak_memory_within_seven_spectrograms(self, beta, direction, d):
+        # 2 s at 16 kHz, two sources, five iterations, amplitude-mask start
+        config, x, meas = self._two_second_problem(d)
         cfg = SolverConfig(DivergenceSpec(beta, direction, d), 1e-3, 5)
         projected_gradient(meas, x, cfg, config)
         tracemalloc.start()
@@ -409,6 +435,43 @@ class TestProjectedGradient:
             tracemalloc.stop()
         spectrogram = meas[0].data.size * np.dtype(np.complex128).itemsize
         assert peak <= 7 * spectrogram
+
+    def test_finite_blow_up_stops_at_first_iterate(self):
+        # the former d = 2 memory case: 8 to 9.6 ||x|| from its first iterate
+        config, x, meas = self._two_second_problem(2)
+        cfg = SolverConfig(DivergenceSpec(0.5, "right", 2), 1e-3, 5)
+        with pytest.raises(SolverDivergedError, match="energy bound") as err:
+            projected_gradient(meas, x, cfg, config)
+        assert (err.value.iteration, err.value.reason) == (0, "energy bound")
+
+    def test_energy_bound_on_a_silent_mixture(self):
+        # ||x|| = 0: the bound is twice the largest norm the measurements
+        # imply, E_c = sqrt(sum w r_c^2 / b) at d = 1
+        rng = np.random.default_rng(SEED + 31)
+        x = Signal(np.zeros(2000))
+        meas = _random_measurements(rng, 2000, 2)
+        weights = symmetry_weights(CFG)[:, None]
+        implied = max(np.sqrt(np.sum(weights * r.data**2) / CFG.b) for r in meas)
+        for direction in ("right", "left"):
+            spec = DivergenceSpec(1.0, direction, 1)
+            start = pgd_start(meas, x, spec, CFG)
+            assert abs(start.bound - 2.0 * implied) <= 1e-12 * implied
+            # step 0 keeps the projected start, which is within E_c
+            res = projected_gradient(meas, x, SolverConfig(spec, 0.0, 3), CFG)
+            projected = project_to_mixture(amplitude_mask_init(meas, x, CFG), x)
+            for got, want in zip(res.sources, projected):
+                assert np.array_equal(got.samples, want.samples)
+            with pytest.raises(SolverDivergedError) as err:
+                projected_gradient(meas, x, SolverConfig(spec, 1e6, 3), CFG)
+            assert err.value.reason == "energy bound"
+        # silence measured as silence: a bound of 0, met by the all-zero
+        # iterates, so the run returns silence
+        shape = meas[0].data.shape
+        for spec in (DivergenceSpec(1.0, "right", 1), DivergenceSpec(0.0, "left", 2)):
+            zero = [Measurements(np.zeros(shape), spec.d) for _ in range(2)]
+            assert pgd_start(zero, x, spec, CFG).bound == 0.0
+            res = projected_gradient(zero, x, SolverConfig(spec, 1.0, 3), CFG)
+            assert all(not np.any(s.samples) for s in res.sources)
 
 
 class TestPgdStart:
