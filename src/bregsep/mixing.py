@@ -102,7 +102,8 @@ def provide_spectrograms(sources, provider, d, config):
         config: StftConfig.
 
     Returns:
-        List of Measurements with exponent d.
+        List of Measurements with exponent d, their data in the frame-major
+        layout of the STFT's spectra (see :class:`Measurements`).
     """
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
@@ -111,6 +112,11 @@ def provide_spectrograms(sources, provider, d, config):
     for source in sources:
         mag = np.abs(stft(source, config).data)
         if provider.mode == PROVIDER_NOISY_ORACLE:
-            mag = mag * np.exp(provider.sigma * rng.standard_normal(mag.shape))
+            # in the spectrum's layout; the noise buffer becomes the result,
+            # as the product's did, since which large buffer survives moves
+            # the peak resident memory of long runs
+            noisy = np.exp(provider.sigma * rng.standard_normal(mag.shape), order="F")
+            noisy *= mag
+            mag = noisy
         out.append(Measurements(mag if d == 1 else mag**2, d))
     return out

@@ -319,7 +319,9 @@ def _zero_mean_updates(current, targets, spec, config):
     mean = integrands.pop()
     for integrand in integrands:
         mean += integrand
-    mean /= len(current)
+    # a multiply by the reciprocal: bitwise the same as complex / real,
+    # and vectorised where numpy's complex division is not
+    mean *= 1.0 / len(current)
     directions = []
     for integrand in integrands:
         integrand -= mean

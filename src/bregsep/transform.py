@@ -9,6 +9,12 @@ overlapping windows.  With a window whose squared overlap-add sum is a
 constant b, this gives A^H A = b I exactly, hence synthesis
 istft = (1/b) A^H reconstructs perfectly at machine precision, boundary
 samples included.
+
+Spectrogram-shaped arrays are (n_bins, n_frames), frame-major in memory
+(Fortran order): the layout the analysis produces, since each frame is
+transformed as one contiguous row before the transpose.  Measurements are
+held in that layout too, copied into it once if they arrive in another, so
+the solvers' elementwise passes read every operand along its strides.
 """
 
 from __future__ import annotations
@@ -160,13 +166,19 @@ class ComplexSpectrogram:
 
 @dataclass(eq=False)
 class Measurements:
-    """Nonnegative magnitude (d=1) or power (d=2) spectrogram targets."""
+    """Nonnegative magnitude (d=1) or power (d=2) spectrogram targets.
+
+    data is held in the layout of the STFT's spectra: (n_bins, n_frames),
+    frame-major in memory (Fortran order).  Data in another layout, such as
+    a C-ordered (bins, frames) array, is copied into it once here, so the
+    solvers never mix layouts inside their loops.
+    """
 
     data: np.ndarray
     d: int = 1
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asfortranarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError("measurements must be 2-D (bins x frames)")
         if not np.all(np.isfinite(self.data)):

@@ -135,6 +135,24 @@ class TestProvideSpectrograms:
         assert np.all(noisy[0].data >= 0.0)
         assert np.std(np.log(ratio[clean > 1e-8])) > 0.1
 
+    @pytest.mark.parametrize("mode", ["oracle", "noisy_oracle"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_frame_major_and_bitwise_the_formula(self, mode, d):
+        # the layout of the STFT's spectra, and the bits of
+        # r = (|stft(s)| * exp(sigma G))^d computed in the plain order
+        rng = np.random.default_rng(SEED + 9)
+        sources = [Signal(rng.standard_normal(2000)) for _ in range(2)]
+        sigma = 0.5 if mode == "noisy_oracle" else 0.0
+        meas = provide_spectrograms(sources, ProviderSpec(mode, sigma, 17), d, CFG)
+        noise = np.random.default_rng(17)
+        for src, r in zip(sources, meas):
+            assert r.data.flags.f_contiguous
+            mag = np.abs(stft(src, CFG).data)
+            if mode == "noisy_oracle":
+                mag = mag * np.exp(sigma * noise.standard_normal(mag.shape))
+            expected = mag if d == 1 else mag**2
+            assert np.array_equal(r.data.view(np.uint64), expected.view(np.uint64))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProviderSpec("psychic")

@@ -4,6 +4,7 @@ configurations, signal lengths and seeds."""
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bregsep.divergence import EPS_FLOOR, DivergenceSpec, grad_term
 from bregsep.solvers import (
@@ -296,3 +297,32 @@ def test_shared_start_equals_own_start(
             continue
         for a, b in zip(own[1].sources, shared[1].sources):
             assert np.array_equal(a.samples, b.samples)
+
+
+# zeros of both signs, the smallest subnormal and normal, the largest
+# finite values, and the non-finite ones
+_AWKWARD_PARTS = st.sampled_from(
+    (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, np.inf, -np.inf, np.nan)
+)
+_PARTS = st.one_of(_AWKWARD_PARTS, st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.complex128, st.integers(1, 32), elements=st.builds(complex, _PARTS, _PARTS)
+    ),
+    st.integers(2, 6),
+)
+def test_reciprocal_scaling_is_division_by_the_source_count(values, count):
+    # the zero-mean update scales the summed integrands by 1 / C: numpy
+    # divides a complex array by a real C as (re + im 0) (1 / C), so the
+    # product gives the same values, up to the sign of zero
+    with np.errstate(invalid="ignore", over="ignore"):
+        product, quotient = values * (1.0 / count), values / count
+    assert np.array_equal(product, quotient, equal_nan=True)
+    for part in ("real", "imag"):
+        assert np.array_equal(
+            getattr(product, part), getattr(quotient, part), equal_nan=True
+        )

@@ -444,6 +444,19 @@ class TestProjectedGradient:
             projected_gradient(meas, x, cfg, config)
         assert (err.value.iteration, err.value.reason) == (0, "energy bound")
 
+    def test_energy_bound_depends_on_values_not_layout(self):
+        # C-ordered copies of the measurements give the same bound, to the
+        # last bit; on a silent mixture the measurements alone set it
+        rng = np.random.default_rng(SEED + 33)
+        x = Signal(np.zeros(2000))
+        for d in (1, 2):
+            for _ in range(10):
+                meas = _random_measurements(rng, 2000, 2, d=d)
+                copies = [Measurements(np.ascontiguousarray(r.data), d) for r in meas]
+                assert solvers._energy_bound(copies, x, CFG) == solvers._energy_bound(
+                    meas, x, CFG
+                )
+
     def test_energy_bound_on_a_silent_mixture(self):
         # ||x|| = 0: the bound is twice the largest norm the measurements
         # imply, E_c = sqrt(sum w r_c^2 / b) at d = 1
@@ -556,6 +569,18 @@ class TestPreparedTarget:
         assert np.array_equal(right, floored)
         assert np.array_equal(left, generator_prime(0.5, floored))
         assert np.array_equal(meas.data, kept)
+
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    def test_keeps_the_spectrum_layout(self, direction):
+        # measurements handed in C-ordered, unfloored and floored
+        rng = np.random.default_rng(SEED + 32)
+        (meas,) = _random_measurements(rng, 1000, 1)
+        data = np.ascontiguousarray(meas.data)
+        spec = DivergenceSpec(0.5, direction)
+        for _ in range(2):
+            target = solvers._prepared_target(spec, Measurements(data, 1))
+            assert target.flags.f_contiguous
+            data[:, 0] = 0.0
 
 
 class TestSolverConfig:

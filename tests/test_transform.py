@@ -315,6 +315,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             Measurements(np.array([[np.inf]]), 1)
 
+    def test_measurements_hold_the_spectrum_layout(self):
+        # a C-ordered (bins, frames) array is copied once, into the
+        # frame-major layout of the STFT's spectra; one in it is kept as is
+        rng = np.random.default_rng(SEED)
+        values = np.abs(rng.standard_normal((5, 7)))
+        held = Measurements(values, 1).data
+        assert values.flags.c_contiguous and held.flags.f_contiguous
+        assert np.array_equal(held, values)
+        spectrum = np.abs(stft(Signal(rng.standard_normal(40)), StftConfig(8, 2)).data)
+        assert Measurements(spectrum, 1).data is spectrum
+
     def test_spectrogram_must_be_finite(self):
         cfg = StftConfig(8, 2)
         data = np.zeros((5, 2), dtype=complex)
