@@ -244,8 +244,9 @@ def _resolve(args):
 
 
 def _check_mixture_id(mixture_id):
-    if not mixture_id or "," in mixture_id or "\n" in mixture_id:
-        raise ValueError("mixture_id must be non-empty and comma-free")
+    # each of these splits or merges the id's row for a CSV reader
+    if not mixture_id or any(c in mixture_id for c in ',"\r\n'):
+        raise ValueError("mixture_id must be non-empty, without comma, quote, \\r or \\n")
     return mixture_id
 
 
@@ -481,20 +482,16 @@ def _cmd_sweep(ns):
             )
             for beta, direction in itertools.product(betas, ns["directions"]):
                 spec = DivergenceSpec(beta, direction, d)
-                # the first iteration up to the step, shared by every step
-                # size; a 0-iteration cell reads none of it, only the init
-                start = None
-                if ns["iterations"]:
-                    start = pgd_start(measurements, mixture, spec, stft_config, init)
-                cell_init = init if start is None else None
+                # shared by every step size; the first cell that iterates
+                # computes the first direction in it for all of them
+                start = pgd_start(measurements, mixture, spec, stft_config, init)
                 for step in steps:
                     solver = SolverConfig(spec, step, ns["iterations"])
                     # scored and dropped: held into the next cell, next to
                     # the shared start, they raised the sweep's peak memory
                     status, value, improvement = _run_and_score(
                         lambda: projected_gradient(
-                            measurements, mixture, solver, stft_config,
-                            init=cell_init, start=start,
+                            measurements, mixture, solver, stft_config, start=start
                         ).sources,
                         speech,
                         sdr_init,

@@ -28,16 +28,19 @@ DIRECTION_LEFT = "left"
 EPS_FLOOR = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class DivergenceSpec:
-    """Divergence choice: beta in [0, 2], fit direction, exponent d."""
+    """Divergence choice: beta in [0, 2], fit direction, exponent d.
+
+    Immutable and compared by value; beta is held as a float.
+    """
 
     beta: float
     direction: str = DIRECTION_RIGHT
     d: int = 1
 
     def __post_init__(self):
-        self.beta = float(self.beta)
+        object.__setattr__(self, "beta", float(self.beta))
         if not 0.0 <= self.beta <= 2.0:
             raise ValueError("beta must lie in [0, 2]")
         if self.direction not in (DIRECTION_RIGHT, DIRECTION_LEFT):

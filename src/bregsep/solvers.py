@@ -11,10 +11,10 @@ normalized step, its update reduces exactly to MISI.  Because the transform
 is linear, a gradient step followed by the projection equals the step along
 the source's integrand minus the mean integrand over sources; those C steps
 sum to zero, so each iteration costs C forward transforms and C - 1 inverse
-transforms.  At the first iteration that step is linear in the step size:
-:func:`pgd_start` computes everything but the scaling once, and runs that
-differ only in step size share it read-only (``projected_gradient(...,
-start=...)``); a run without one builds its own and scales it in place.
+transforms.  Every PGD run starts from a :class:`PgdStart`, which computes
+the first iteration up to the step size on first use.  Runs that differ only
+in step size share one read-only (``projected_gradient(..., start=...)``);
+a run without one builds its own and scales it in place.
 A PGD run stops with :class:`SolverDivergedError` at the first iterate
 that is non-finite or past an energy bound (see :func:`projected_gradient`).
 MISI keeps its own Griffin-Lim step and shares only the transform kernel:
@@ -24,6 +24,7 @@ it is the reference PGD is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,7 +188,7 @@ def griffin_lim(measurements, init, iterations, config):
         config: StftConfig.
 
     Returns:
-        Signal estimate.
+        Signal estimate, in a new array also with 0 iterations.
     """
     if measurements.d != 1:
         raise ValueError("griffin_lim requires magnitude measurements (d = 1)")
@@ -199,7 +200,8 @@ def griffin_lim(measurements, init, iterations, config):
         (s,) = _phase_synthesis(
             [measurements.data], _stft_data(s, config), config, len(init)
         )
-    return Signal(s.copy(), init.sample_rate)
+    # with no iteration s is still the init's own array, which a caller may reuse
+    return Signal(s if iterations else s.copy(), init.sample_rate)
 
 
 def project_to_mixture(estimates, mixture):
@@ -351,13 +353,12 @@ def _energy_bound(measurements, mixture, config):
 
 @dataclass(frozen=True, eq=False)
 class PgdStart:
-    """The step-independent part of PGD's first iteration; see :func:`pgd_start`.
+    """A PGD problem and its start; see :func:`pgd_start`.
 
-    sources: the start's sample arrays; targets: the prepared targets, one
-    per source; direction: istft(I_c - mean_c I) at the start for every
-    source c but the last; bound: the energy bound of :func:`_energy_bound`.
-    measurements, mixture, spec and config record what the start was built
-    for.  Runs that share a start only read it.
+    measurements, mixture, spec and config record the problem the start was
+    built for.  sources: the start's sample arrays; targets: the prepared
+    targets, one per source; bound: the energy bound of :func:`_energy_bound`.
+    Runs that share a start only read it.
     """
 
     measurements: tuple
@@ -366,18 +367,25 @@ class PgdStart:
     config: StftConfig
     sources: list
     targets: list
-    direction: list
     bound: float
+
+    @cached_property
+    def direction(self):
+        """istft(I_c - mean_c I) at the start, for every source c but the last."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _zero_mean_updates(self.sources, self.targets, self.spec, self.config)
 
 
 def pgd_start(measurements, mixture, spec, stft_config, init=None):
-    """Validate a PGD problem and compute its first iteration up to the step.
+    """Validate a PGD problem and hold what its runs share.
 
     At the first iteration source c moves by -step d direction_c, plus the
     projection onto the mixing set; direction_c depends on the start, the
-    measurements and spec but not on the step.  Runs that differ only in
-    step size can share one start through projected_gradient(start=...),
-    which leaves it as built.  The start also holds the runs' energy bound.
+    measurements and spec but not on the step.  The start computes it when
+    the first run reads it, so building one runs no transform beyond amplitude
+    masking.  Runs that differ only in step size can share one start through
+    projected_gradient(start=...), which leaves it as built.  The start also
+    holds the runs' energy bound.
 
     Args:
         measurements: list of Measurements (length >= 2) sharing spec.d.
@@ -392,38 +400,26 @@ def pgd_start(measurements, mixture, spec, stft_config, init=None):
     sources = _initial_sources(
         "projected_gradient", measurements, mixture, stft_config, spec.d, init
     )
-    targets = [_prepared_target(spec, r) for r in measurements]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direction = _zero_mean_updates(sources, targets, spec, stft_config)
     return PgdStart(
         tuple(measurements),
         mixture,
-        # a copy, since a DivergenceSpec can be changed after this call
-        DivergenceSpec(spec.beta, spec.direction, spec.d),
+        spec,
         stft_config,
         sources,
-        targets,
-        direction,
+        [_prepared_target(spec, r) for r in measurements],
         _energy_bound(measurements, mixture, stft_config),
     )
 
 
 def _check_start(start, measurements, mixture, spec, config, init):
-    """Reject a start built for another problem; identity and scalars only."""
+    """Reject a start built for another problem."""
     if init is not None:
         raise ValueError("pass init or start, not both")
-    same_problem = (
-        start.mixture is mixture
-        and len(start.measurements) == len(measurements)
-        and all(a is b for a, b in zip(start.measurements, measurements))
-    )
-    if not same_problem:
+    if start.mixture is not mixture or start.measurements != tuple(measurements):
         raise ValueError("start was built for another mixture or measurements")
-    built = start.spec
-    if (built.beta, built.direction, built.d) != (spec.beta, spec.direction, spec.d):
+    if start.spec != spec:
         raise ValueError("start was built for another divergence")
-    grid = start.config
-    if (grid.win_length, grid.hop) != (config.win_length, config.hop):
+    if start.config != config:
         raise ValueError("start was built for another analysis grid")
 
 
@@ -444,11 +440,11 @@ def projected_gradient(
     zero, so the last source takes minus the sum of the others': each
     iteration runs C forward and C - 1 inverse transforms.
 
-    The first iteration's istft(I_c - mean_c I) does not depend on the step.
-    Without start, this call builds it with :func:`pgd_start` (unless there
-    are no iterations, when no transform runs) and scales it in place.  A
-    start passed in is shared: it is only read, so runs that differ in step
-    size alone give the same results from one start as from their own.
+    Every run starts from a :class:`PgdStart`: start, or one built here with
+    :func:`pgd_start` from init, which computes the step-independent first
+    istft(I_c - mean_c I) on first use.  A start built here is scaled in
+    place; a start passed in is only read, so runs that differ in step size
+    alone give the same results from one start as from their own.
 
     The run stops at the first iterate that is non-finite or has blown up:
     max_c ||s_c|| > ENERGY_BOUND_FACTOR * max(||x||, max_c E_c), where
@@ -464,7 +460,7 @@ def projected_gradient(
         stft_config: StftConfig.
         init: optional list of starting Signals; not with start.
         start: optional PgdStart built for these measurements and mixture
-            objects, this divergence and this grid.
+            objects, an equal divergence and an equal grid.
 
     Returns:
         SeparationResult.  Its arrays are new, also with 0 iterations: they
@@ -479,21 +475,16 @@ def projected_gradient(
     shared = start is not None
     if shared:
         _check_start(start, measurements, mixture, spec, stft_config, init)
-    elif solver_config.iterations:
-        start = pgd_start(measurements, mixture, spec, stft_config, init)
-    if start is None:
-        current = _initial_sources(
-            "projected_gradient", measurements, mixture, stft_config, spec.d, init
-        )
     else:
-        current, targets, directions = start.sources, start.targets, start.direction
-        bound = start.bound
-        # a start built here is freed array by array as the run moves past it
-        start = None
+        start = pgd_start(measurements, mixture, spec, stft_config, init)
+    current, targets, bound = start.sources, start.targets, start.bound
     scale = solver_config.step_size * spec.d
     for t in range(solver_config.iterations):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if t == 0:
+                directions = start.direction
+                # a start built here is freed array by array as the run moves past it
+                start = None
                 # the start is off the mixing set; later iterates stay on it
                 current = _project(current, mixture.samples)
             else:

@@ -96,12 +96,13 @@ def normalization_constant(config):
     return b
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StftConfig:
     """Analysis parameters: periodic Hann window length and hop.
 
     win_length must be even and a multiple of hop.  The DFT size is
-    win_length: frames are never zero-padded in frequency.
+    win_length: frames are never zero-padded in frequency.  Immutable and
+    compared by value.
     """
 
     win_length: int = 1024

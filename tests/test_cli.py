@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,29 @@ class TestSeparate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--iterations" in captured.err
+
+    @pytest.mark.parametrize("mixture_id", ["a,b", "a\nb", "a\rb", 'a"b', '"a'])
+    def test_mixture_id_that_breaks_csv_rejected(self, wavs, capsys, mixture_id):
+        out = wavs["dir"] / "row.csv"
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--algo", "amplitude_mask", "--mixture-id", mixture_id,
+            "--csv", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "mixture_id" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_speech_stem_that_breaks_csv_rejected(self, wavs, capsys):
+        speech = wavs["dir"] / 'say "hi".wav'
+        _write_tone(speech, 440.0)
+        code = _separate([
+            "--speech", str(speech), "--noise", wavs["noise"],
+            "--algo", "amplitude_mask",
+        ])
+        assert code == 2
+        assert "mixture_id" in capsys.readouterr().err
 
     def test_missing_noise_rejected(self, wavs, capsys):
         code = _separate(["--speech", wavs["speech"]])
@@ -490,6 +515,25 @@ class TestSweep:
         ])
         assert code == 2
         assert "split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mixture_id", ["a,b", "a\nb", "a\rb", 'a"b', '"a'])
+    def test_manifest_mixture_id_that_breaks_csv_rejected(
+        self, tmp_path, capsys, mixture_id
+    ):
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        # quoted where needed, so the id reaches the check intact
+        with open(manifest, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["mixture_id", "speech", "noise", "snr_db", "seed", "split"])
+            writer.writerow([mixture_id, "tone.wav", "noise.wav", 0.0, 1, "validation"])
+        out = tmp_path / "none.csv"
+        code = cli.main(["sweep", "--manifest", str(manifest), "--csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "mixture_id" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_bad_manifest_header_errors(self, tmp_path, capsys):
         manifest = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,20 @@ class TestObjective:
 
 
 class TestSpecValidation:
+    def test_compared_and_hashed_by_value(self):
+        spec = DivergenceSpec(1, "left", 2)
+        same = DivergenceSpec(1.0, "left", 2)
+        assert spec == same and hash(spec) == hash(same)
+        assert isinstance(spec.beta, float)
+        for other in (
+            DivergenceSpec(1.5, "left", 2),
+            DivergenceSpec(1.0, "right", 2),
+            DivergenceSpec(1.0, "left", 1),
+        ):
+            assert spec != other
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.beta = 2.0
+
     def test_beta_range(self):
         with pytest.raises(ValueError):
             DivergenceSpec(2.5)

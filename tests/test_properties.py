@@ -283,6 +283,14 @@ def test_shared_start_equals_own_start(
         init = [Signal(rng.standard_normal(length)) for _ in range(count)]
     spec = DivergenceSpec(beta, direction, d)
     start = pgd_start(measurements, mixture, spec, PGD_CONFIG, init)
+    # the same start built from copies, which no run reads
+    pristine = pgd_start(
+        [Measurements(r.data.copy(), d) for r in measurements],
+        mixture,
+        spec,
+        PGD_CONFIG,
+        None if init is None else [Signal(s.samples.copy()) for s in init],
+    )
     # the steps come in drawn order, so one start serves them in any order
     for step in steps:
         solver = SolverConfig(spec, step, iterations)
@@ -297,6 +305,12 @@ def test_shared_start_equals_own_start(
             continue
         for a, b in zip(own[1].sources, shared[1].sources):
             assert np.array_equal(a.samples, b.samples)
+    # the runs left the start as built, bit for bit
+    assert all(
+        a.tobytes() == b.tobytes()
+        for name in ("sources", "targets", "direction")
+        for a, b in zip(getattr(start, name), getattr(pristine, name))
+    )
 
 
 # zeros of both signs, the smallest subnormal and normal, the largest

@@ -173,6 +173,15 @@ class TestGriffinLim:
         out = griffin_lim(r, init, 0, CFG)
         assert np.array_equal(out.samples, init.samples)
 
+    def test_zero_iterations_share_no_memory_with_init(self):
+        # a result written into must not change the caller's init
+        rng = np.random.default_rng(SEED + 7)
+        x = Signal(rng.standard_normal(1000))
+        r = Measurements(np.abs(stft(x, CFG).data), 1)
+        init = Signal(rng.standard_normal(1000))
+        out = griffin_lim(r, init, 0, CFG)
+        assert not np.shares_memory(out.samples, init.samples)
+
     def test_fixed_point_at_exact_magnitudes(self):
         rng = np.random.default_rng(SEED + 8)
         x = Signal(rng.standard_normal(2000))
@@ -522,6 +531,21 @@ class TestPgdStart:
         # the same objects and values in a fresh spec and config are accepted
         cfg = SolverConfig(DivergenceSpec(1.5, "left", 1), 1e-3, 2)
         projected_gradient(list(meas), x, cfg, StftConfig(256, 64), start=start)
+
+    def test_building_runs_no_transform(self, monkeypatch):
+        # the first direction is computed by the first run that reads it
+        x, meas, spec, start = self._problem()
+        init = [Signal(s) for s in start.sources]
+
+        def refuse(*args):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(solvers, "_stft_data", refuse)
+        monkeypatch.setattr(solvers, "_istft_data", refuse)
+        built = pgd_start(meas, x, spec, CFG, init)
+        monkeypatch.undo()
+        for got, want in zip(built.direction, start.direction):
+            assert np.array_equal(got, want)
 
     def test_zero_iterations_run_no_transform(self, monkeypatch):
         x, meas, spec, start = self._problem()

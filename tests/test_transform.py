@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,16 @@ class TestConfig:
         assert cfg.win_length == 1024
         assert cfg.hop == 256
         assert cfg.n_bins == 513
+
+    def test_compared_and_hashed_by_value(self):
+        cfg = StftConfig(256, 64)
+        same = StftConfig(256, 64)
+        # the cached window and b take no part
+        assert cfg.b > 0
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != StftConfig(256, 128) and cfg != StftConfig(512, 64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.hop = 128
 
     def test_hop_must_divide(self):
         with pytest.raises(ValueError):
