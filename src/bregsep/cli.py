@@ -12,14 +12,25 @@ file, the file wins over built-in defaults. Metric rows use one fixed CSV
 schema, floats are printed with six decimals, and rows are emitted in a
 deterministic sort order, so repeated runs with the same seeds produce
 byte-identical CSV files.
+
+`sweep` runs the (beta, direction) groups of each (mixture, d) block on
+every CPU in the process's affinity mask: in this process when there is one
+CPU or one group, otherwise in a pool of forked workers that inherit the
+block's arrays. Results are collected in group order, so the CSV is the
+same byte for byte for any number of CPUs. There is no option for the
+count; `taskset` restricts it.
 """
 
 import argparse
 import configparser
 import csv
 import itertools
+import multiprocessing
+import os
+import signal
 import sys
 from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +89,19 @@ def _nonnegative(cast):
 
 
 def _value_list(cast):
-    """Build a converter for comma-separated lists."""
+    """Build a converter for comma-separated lists of distinct values."""
 
     def convert(text):
         parts = [p.strip() for p in str(text).split(",")]
         parts = [p for p in parts if p]
         if not parts:
             raise ValueError("empty list")
-        return [cast(p) for p in parts]
+        values = [cast(p) for p in parts]
+        for index, value in enumerate(values):
+            # compared after the cast, so 1 and 1.0 are one value
+            if value in values[:index]:
+                raise ValueError("repeated value %r" % parts[index])
+        return values
 
     return convert
 
@@ -172,6 +188,19 @@ _SUBCOMMANDS = {
 }
 
 
+def _flag_type(dest):
+    """The converter of dest, with its message in argparse's error."""
+    convert = _CONVERTERS[dest]
+
+    def flag_type(text):
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err))
+
+    return flag_type
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bregsep",
@@ -183,7 +212,7 @@ def _build_parser():
         sub = subparsers.add_parser(name, help=spec["help"])
         for dest in spec["options"]:
             flag = "--" + dest.replace("_", "-")
-            sub.add_argument(flag, dest=dest, type=_CONVERTERS[dest], default=None)
+            sub.add_argument(flag, dest=dest, type=_flag_type(dest), default=None)
         sub.add_argument("--config", default=None, help="key=value config file")
     return parser
 
@@ -231,7 +260,10 @@ def _resolve(args):
     for dest in spec["options"]:
         value = getattr(args, dest)
         if value is None and dest in file_values:
-            value = _CONVERTERS[dest](file_values[dest])
+            try:
+                value = _CONVERTERS[dest](file_values[dest])
+            except ValueError as err:
+                raise ValueError("config key '%s': %s" % (dest, err))
         if value is None:
             value = _DEFAULTS.get(dest)
         resolved[dest] = value
@@ -458,6 +490,106 @@ def _print_sweep_summary(records):
             print("misi_cell mean_sdri=%.6f" % misi_mean)
 
 
+# one (mixture, d) block of a sweep; _sweep_group runs a group of it
+_Block = namedtuple(
+    "_Block",
+    "row speech mixture measurements init sdr_init d steps iterations "
+    "sigma stft_config",
+)
+
+
+def _sweep_group(block, task):
+    """Run every step size of one (beta, direction) group of a block.
+
+    Args:
+        block: the (mixture, d) _Block.
+        task: (beta, direction).
+
+    Returns:
+        The group's Rows, in step-size order.
+    """
+    beta, direction = task
+    spec = DivergenceSpec(beta, direction, block.d)
+    # shared by every step size; the first cell that iterates computes the
+    # first direction in it for all of them
+    start = pgd_start(
+        block.measurements, block.mixture, spec, block.stft_config, block.init
+    )
+    rows = []
+    for step in block.steps:
+        solver = SolverConfig(spec, step, block.iterations)
+        # scored and dropped: held into the next cell, next to the shared
+        # start, they raised the sweep's peak memory
+        status, value, improvement = _run_and_score(
+            lambda: projected_gradient(
+                block.measurements, block.mixture, solver, block.stft_config,
+                start=start,
+            ).sources,
+            block.speech,
+            block.sdr_init,
+        )[1:]
+        rows.append(Row(
+            "pgd", beta, block.d, direction, step, block.row["snr_db"],
+            block.sigma, block.row["seed"], block.row["mixture_id"], status,
+            block.sdr_init, value, improvement,
+        ))
+    return rows
+
+
+# a pool worker's block: inherited at fork with the initializer's
+# arguments, so its arrays are never pickled
+_worker_block = None
+
+
+def _start_worker(block):
+    global _worker_block
+    _worker_block = block
+    # Ctrl-C reaches the whole process group: the parent stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _group_in_worker(task):
+    # the pool sends this function by name; _sweep_group is looked up when
+    # it runs, in the worker's copy of this module
+    return _sweep_group(_worker_block, task)
+
+
+def _sweep_workers(groups):
+    """Processes for a block of `groups` groups.
+
+    One per CPU in this process's affinity mask (every CPU where the mask
+    cannot be read) and at most one per group; 1 without fork.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(groups, cpus)
+
+
+def _run_groups(block, tasks):
+    """_sweep_group's Rows for every task of the block, in task order.
+
+    With one worker the groups run in this process.  Otherwise they run in
+    a pool of forked workers.  On every path, an error or Ctrl-C included,
+    the pool cancels the groups not yet started and joins its workers; a
+    worker that dies (say, killed for memory) raises BrokenProcessPool
+    rather than leaving the sweep waiting for its result.
+    """
+    workers = _sweep_workers(len(tasks))
+    if workers == 1:
+        return [_sweep_group(block, task) for task in tasks]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(block,),
+    ) as pool:
+        return list(pool.map(_group_in_worker, tasks))
+
+
 def _cmd_sweep(ns):
     rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
     if not rows:
@@ -469,6 +601,7 @@ def _cmd_sweep(ns):
     if not all(np.isfinite(step) and step > 0 for step in steps):
         raise ValueError("step sizes must be positive and finite")
     stft_config = StftConfig(ns["win"], ns["hop"])
+    tasks = list(itertools.product(betas, ns["directions"]))
     records = []
     for row in rows:
         speech, scaled, mixture = _load_pair(
@@ -477,32 +610,15 @@ def _cmd_sweep(ns):
         provider_seed = ns["seed"] * _SEED_STRIDE + row["seed"]
         provider = ProviderSpec(ns["provider"], ns["sigma"], provider_seed)
         for d in ns["d_values"]:
-            measurements, init, sdr_init = _initialize(
-                speech, scaled, mixture, provider, d, stft_config
+            block = _Block(
+                row, speech, mixture,
+                *_initialize(speech, scaled, mixture, provider, d, stft_config),
+                d, steps, ns["iterations"], ns["sigma"], stft_config,
             )
-            for beta, direction in itertools.product(betas, ns["directions"]):
-                spec = DivergenceSpec(beta, direction, d)
-                # shared by every step size; the first cell that iterates
-                # computes the first direction in it for all of them
-                start = pgd_start(measurements, mixture, spec, stft_config, init)
-                for step in steps:
-                    solver = SolverConfig(spec, step, ns["iterations"])
-                    # scored and dropped: held into the next cell, next to
-                    # the shared start, they raised the sweep's peak memory
-                    status, value, improvement = _run_and_score(
-                        lambda: projected_gradient(
-                            measurements, mixture, solver, stft_config, start=start
-                        ).sources,
-                        speech,
-                        sdr_init,
-                    )[1:]
-                    records.append(Row(
-                        "pgd", beta, d, direction, step, row["snr_db"],
-                        ns["sigma"], row["seed"], row["mixture_id"], status,
-                        sdr_init, value, improvement,
-                    ))
-                # freed before the next start or measurements are built
-                start = None
+            for group in _run_groups(block, tasks):
+                records.extend(group)
+            # freed before the next d's measurements are built
+            block = None
     records.sort(
         key=lambda r: (r.mixture_id, r.beta, r.step_size, r.d, r.direction)
     )

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SDR_CAP_DB = 240.0
+
+
+def _norm(samples):
+    """Euclidean norm of a 1-D float array, summed by numpy, not by BLAS.
+
+    ``np.linalg.norm`` calls BLAS ``dot``, which OpenBLAS runs on several
+    threads above about 10 000 samples.  In the sweep's forked workers
+    those threads spin on the cores the other workers need.  On 2 vCPUs a
+    default-grid sweep of one 2 s mixture took 9.6-13.7 s with them, against
+    4.5-5.5 s serially and 3.2-3.8 s with this norm.  It is slower than
+    ``dot`` per call (19 against 9 us on 32 000 samples), far under 1 % of a
+    PGD iteration, and it can differ from it in the last bits.  An overflow
+    gives inf without a warning.
+    """
+    return math.sqrt(np.einsum("i,i->", samples, samples))
 
 
 def sdr(reference, estimate):
@@ -22,10 +39,10 @@ def sdr(reference, estimate):
     """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate lengths differ")
-    ref_norm = float(np.linalg.norm(reference.samples))
+    ref_norm = _norm(reference.samples)
     if ref_norm == 0.0:
         raise ValueError("reference signal has zero energy")
-    dist = float(np.linalg.norm(reference.samples - estimate.samples))
+    dist = _norm(reference.samples - estimate.samples)
     if dist < 1e-12 * ref_norm:
         return SDR_CAP_DB
     return 20.0 * np.log10(ref_norm / dist)

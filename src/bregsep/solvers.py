@@ -35,6 +35,7 @@ from .divergence import (
     _model_grad,
     _target_term,
 )
+from .metrics import _norm
 from .transform import (
     Signal,
     StftConfig,
@@ -61,6 +62,11 @@ class SolverDivergedError(RuntimeError):
         )
         self.iteration = iteration
         self.reason = reason
+
+    def __reduce__(self):
+        # the default pickles the message as the one argument, which
+        # __init__ cannot take back; errors cross the sweep's worker pool
+        return type(self), (self.iteration, self.reason)
 
 
 @dataclass(eq=False)
@@ -347,7 +353,7 @@ def _energy_bound(measurements, mixture, config):
         else:
             per_bin = r.data.sum(axis=1)
         implied = max(implied, float(weights @ per_bin))
-    scale = max(float(np.linalg.norm(mixture.samples)), np.sqrt(implied / config.b))
+    scale = max(_norm(mixture.samples), np.sqrt(implied / config.b))
     return ENERGY_BOUND_FACTOR * scale
 
 
@@ -501,7 +507,7 @@ def projected_gradient(
                 current[-1] += update
             # before any Signal is built: Signal rejects non-finite samples.
             # A NaN or infinite norm fails the test too.
-            if not all(np.linalg.norm(s) <= bound for s in current):
+            if not all(_norm(s) <= bound for s in current):
                 finite = all(np.all(np.isfinite(s)) for s in current)
                 raise SolverDivergedError(
                     t, "energy bound" if finite else "non-finite"

@@ -1,4 +1,8 @@
 import csv
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -345,6 +349,17 @@ def _harmonic_speech(k, length):
     return Signal(0.3 * tone / np.max(np.abs(tone)), RATE)
 
 
+def _in_process(monkeypatch):
+    """Run the sweep's groups in this process, as on one usable CPU, so
+    what a test patches into cli or solvers sees every call."""
+    monkeypatch.setattr(cli, "_sweep_workers", lambda groups: 1)
+
+
+def _two_workers(monkeypatch):
+    """Run the sweep's groups in two forked workers, whatever the CPUs."""
+    monkeypatch.setattr(cli, "_sweep_workers", lambda groups: min(groups, 2))
+
+
 def _sweep(setup, csv_name, extra=()):
     out = setup["dir"] / csv_name
     code = cli.main([
@@ -409,6 +424,7 @@ class TestSweep:
 
     def test_one_solver_call_per_cell(self, sweep_setup, capsys, monkeypatch):
         # bench/ times the sweep and records its spans through this name
+        _in_process(monkeypatch)
         calls = []
         original = cli.projected_gradient
 
@@ -425,6 +441,7 @@ class TestSweep:
         assert all(a is b for a, b in zip(calls[::2], calls[1::2]))
 
     def test_first_iteration_once_per_group(self, sweep_setup, capsys, monkeypatch):
+        _in_process(monkeypatch)
         runs = []
         original = solvers._zero_mean_updates
 
@@ -475,7 +492,10 @@ class TestSweep:
         assert row["sdri"] == "0.000000"
         assert [err.reason for err in stopped_at] == ["energy bound"]
 
-    def test_zero_iterations_build_no_start(self, sweep_setup, capsys, monkeypatch):
+    def test_zero_iterations_compute_no_first_direction(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
         runs = []
         original = solvers._zero_mean_updates
 
@@ -572,3 +592,181 @@ class TestSweep:
         code, _ = _sweep(sweep_setup, "nonfinite.csv", ["--step-sizes", step + ",1"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--betas", "2,2"),
+        ("--step-sizes", "1,1.0"),
+        ("--directions", "left,left"),
+        ("--d-values", "1,1"),
+    ])
+    def test_repeated_grid_value_rejected(self, sweep_setup, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            _sweep(sweep_setup, "repeated.csv", [flag, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert flag in message and "repeated value" in message
+        assert not (sweep_setup["dir"] / "repeated.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("betas", "2,2"),
+        ("step_sizes", "1,1.0"),
+        ("directions", "left,left"),
+        ("d_values", "1,1"),
+    ])
+    def test_repeated_grid_value_in_config_rejected(
+        self, sweep_setup, capsys, key, value
+    ):
+        config = sweep_setup["dir"] / "grid.cfg"
+        config.write_text("[sweep]\n%s = %s\n" % (key, value))
+        out = sweep_setup["dir"] / "repeated.csv"
+        code = cli.main([
+            "sweep", "--manifest", sweep_setup["manifest"], "--csv", str(out),
+            "--config", str(config),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err and "repeated value" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+@pytest.fixture
+def parallel_setup(tmp_path):
+    """Two mixtures under one repeated mixture_id, and a grid of 4 groups
+    per (mixture, d) block whose beta 0 cells diverge."""
+    _write_tone(tmp_path / "tone_a.wav", 440.0)
+    _write_tone(tmp_path / "tone_b.wav", 650.0)
+    _write_noise(tmp_path / "noise.wav", seed=7)
+    manifest = tmp_path / "manifest.csv"
+    _write_manifest(manifest, [
+        ("mix", "tone_a.wav", "noise.wav", 0.0, 1, "validation"),
+        ("mix", "tone_b.wav", "noise.wav", 5.0, 2, "validation"),
+    ])
+    return {"dir": tmp_path, "manifest": str(manifest)}
+
+
+def _grid_sweep(setup, csv_name):
+    out = setup["dir"] / csv_name
+    code = cli.main([
+        "sweep", "--manifest", setup["manifest"], "--csv", str(out),
+        "--win", "256", "--hop", "64", "--iterations", "2",
+        "--provider", "noisy_oracle", "--sigma", "0.5",
+        "--betas", "0,1.5", "--step-sizes", "0.01,1",
+        "--directions", "right,left", "--d-values", "1,2",
+    ])
+    return code, out
+
+
+class TestParallelSweep:
+    def test_same_csv_and_summary_as_in_process(
+        self, parallel_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        code, serial = _grid_sweep(parallel_setup, "serial.csv")
+        assert code == 0
+        serial_summary = capsys.readouterr().out
+        _two_workers(monkeypatch)
+        code, parallel = _grid_sweep(parallel_setup, "parallel.csv")
+        assert code == 0
+        assert capsys.readouterr().out == serial_summary
+        assert parallel.read_bytes() == serial.read_bytes()
+        lines = serial.read_text().strip().split("\n")[1:]
+        # 2 mixtures x 2 d x 2 betas x 2 directions x 2 steps
+        assert len(lines) == 32
+        status = HEADER_FIELDS.index("status")
+        assert any(line.split(",")[status] == "diverged" for line in lines)
+        assert any(line.split(",")[status] == "ok" for line in lines)
+
+    def test_groups_run_in_forked_workers(
+        self, parallel_setup, capsys, monkeypatch
+    ):
+        _two_workers(monkeypatch)
+        ran = parallel_setup["dir"] / "ran"
+        ran.mkdir()
+        original = cli._sweep_group
+
+        def recorded(block, task):
+            (ran / ("%d-%s-%s" % ((os.getpid(),) + task))).touch()
+            return original(block, task)
+
+        monkeypatch.setattr(cli, "_sweep_group", recorded)
+        code, _ = _grid_sweep(parallel_setup, "grid.csv")
+        assert code == 0
+        names = [path.name for path in ran.iterdir()]
+        # 4 groups in each of 4 (mixture, d) blocks; each block's pool
+        # forks its own workers
+        assert len(names) == 16
+        pids = {int(name.split("-")[0]) for name in names}
+        assert len(pids) >= 2
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_exits_2_and_leaves_no_process(
+        self, parallel_setup, capsys, monkeypatch
+    ):
+        _two_workers(monkeypatch)
+
+        def failing(block, task):
+            raise ValueError("group %s failed" % (task,))
+
+        monkeypatch.setattr(cli, "_sweep_group", failing)
+        code, out = _grid_sweep(parallel_setup, "grid.csv")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: group (0.0, 'right') failed" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_the_workers(self, parallel_setup, capsys, monkeypatch):
+        _two_workers(monkeypatch)
+        parent = os.getpid()
+
+        def interrupting(block, task):
+            # once: the first group's result is what the parent waits for
+            if task == (0.0, "right"):
+                os.kill(parent, signal.SIGINT)
+            return []
+
+        monkeypatch.setattr(cli, "_sweep_group", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            _grid_sweep(parallel_setup, "grid.csv")
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_instead_of_hanging(
+        self, parallel_setup, capsys, monkeypatch
+    ):
+        _two_workers(monkeypatch)
+
+        def dying(block, task):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def timed_out(signum, frame):
+            pytest.fail("the sweep still waits for a dead worker")
+
+        monkeypatch.setattr(cli, "_sweep_group", dying)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                _grid_sweep(parallel_setup, "grid.csv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_groups_capped_at_usable_cpus(self, monkeypatch):
+        # resolves the count only: no process is started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert cli._sweep_workers(18) == 18
+        assert cli._sweep_workers(100) == 64
+        assert cli._sweep_workers(1) == 1
+        # where the affinity mask cannot be read, every CPU counts
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._sweep_workers(18) == 3
+        assert cli._sweep_workers(1) == 1
+
+    def test_no_fork_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert cli._sweep_workers(18) == 1

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,16 @@ def _objective_totals(meas, x, spec, step, iterations):
                 sum(objective(spec, r, s, CFG) for r, s in zip(meas, res.sources))
             )
     return totals
+
+
+class TestSolverDivergedError:
+    def test_survives_pickling(self):
+        # as it must to cross a process pool
+        err = SolverDivergedError(3, "energy bound")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SolverDivergedError
+        assert (back.iteration, back.reason) == (3, "energy bound")
+        assert str(back) == str(err) == "solver diverged at iteration 3: energy bound"
 
 
 class TestProjectToMixture:
