@@ -16,15 +16,16 @@ byte-identical CSV files.
 `sweep` runs the (beta, direction) groups of each (mixture, d) block on
 every CPU in the process's affinity mask: in this process when there is one
 CPU or one group, otherwise in a pool of forked workers that inherit the
-block's arrays. Results are collected in group order, so the CSV is the
-same byte for byte for any number of CPUs. There is no option for the
-count; `taskset` restricts it.
+block's arrays. Beta 2's loss is symmetric, so its group runs once and its
+rows are written for every direction asked for. Groups start by beta
+descending, the longest first. Rows are sorted before they are written, so
+the CSV is the same byte for byte for any number of CPUs and any group
+order. There is no option for the count; `taskset` restricts it.
 """
 
 import argparse
 import configparser
 import csv
-import itertools
 import multiprocessing
 import os
 import signal
@@ -590,6 +591,29 @@ def _run_groups(block, tasks):
         return list(pool.map(_group_in_worker, tasks))
 
 
+def _distinct_groups(betas, directions):
+    """The (beta, direction) groups of a block, each with the directions
+    its Rows are written under.
+
+    At beta 2 the loss (r - z)^2 / 2 is symmetric: both directions' gradient
+    terms reduce to |S|^d - r, bit for bit, so one run under the first
+    direction gives the Rows of every direction.  Groups come by beta
+    descending.  The groups with beta >= 1 run longest, and those with small
+    beta mostly stop at their first iterate, so a pool's workers end the
+    block on short groups instead of one waiting on a long group started
+    last.
+
+    Returns:
+        Dict mapping each (beta, direction) task to its Rows' directions.
+    """
+    groups = {}
+    for beta in sorted(betas, reverse=True):
+        for direction in directions:
+            run = directions[0] if beta == 2.0 else direction
+            groups.setdefault((beta, run), []).append(direction)
+    return groups
+
+
 def _cmd_sweep(ns):
     rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
     if not rows:
@@ -601,7 +625,7 @@ def _cmd_sweep(ns):
     if not all(np.isfinite(step) and step > 0 for step in steps):
         raise ValueError("step sizes must be positive and finite")
     stft_config = StftConfig(ns["win"], ns["hop"])
-    tasks = list(itertools.product(betas, ns["directions"]))
+    groups = _distinct_groups(betas, ns["directions"])
     records = []
     for row in rows:
         speech, scaled, mixture = _load_pair(
@@ -615,8 +639,11 @@ def _cmd_sweep(ns):
                 *_initialize(speech, scaled, mixture, provider, d, stft_config),
                 d, steps, ns["iterations"], ns["sigma"], stft_config,
             )
-            for group in _run_groups(block, tasks):
-                records.extend(group)
+            ran = _run_groups(block, list(groups))
+            for group_rows, labels in zip(ran, groups.values()):
+                records.extend(
+                    r._replace(direction=label) for r in group_rows for label in labels
+                )
             # freed before the next d's measurements are built
             block = None
     records.sort(

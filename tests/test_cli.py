@@ -644,13 +644,13 @@ def parallel_setup(tmp_path):
     return {"dir": tmp_path, "manifest": str(manifest)}
 
 
-def _grid_sweep(setup, csv_name):
+def _grid_sweep(setup, csv_name, betas="0,1.5"):
     out = setup["dir"] / csv_name
     code = cli.main([
         "sweep", "--manifest", setup["manifest"], "--csv", str(out),
         "--win", "256", "--hop", "64", "--iterations", "2",
         "--provider", "noisy_oracle", "--sigma", "0.5",
-        "--betas", "0,1.5", "--step-sizes", "0.01,1",
+        "--betas", betas, "--step-sizes", "0.01,1",
         "--directions", "right,left", "--d-values", "1,2",
     ])
     return code, out
@@ -712,7 +712,8 @@ class TestParallelSweep:
         code, out = _grid_sweep(parallel_setup, "grid.csv")
         captured = capsys.readouterr()
         assert code == 2
-        assert "error: group (0.0, 'right') failed" in captured.err
+        # groups start by beta descending
+        assert "error: group (1.5, 'right') failed" in captured.err
         assert captured.out == "" and not out.exists()
         assert multiprocessing.active_children() == []
 
@@ -721,8 +722,9 @@ class TestParallelSweep:
         parent = os.getpid()
 
         def interrupting(block, task):
-            # once: the first group's result is what the parent waits for
-            if task == (0.0, "right"):
+            # once: the first group's result is what the parent waits for;
+            # groups start by beta descending
+            if task == (1.5, "right"):
                 os.kill(parent, signal.SIGINT)
             return []
 
@@ -770,3 +772,102 @@ class TestParallelSweep:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         assert cli._sweep_workers(18) == 1
+
+
+class TestDistinctSweepGroups:
+    """Beta 2's loss is symmetric, so its group runs once per block and its
+    Rows are written under every direction; groups start by beta
+    descending."""
+
+    def test_beta_2_runs_once_per_mixture_d_and_step(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        calls = []
+        original = cli.projected_gradient
+
+        def counted(measurements, mixture, solver, *args, **kwargs):
+            calls.append((solver.spec.beta, solver.spec.direction))
+            return original(measurements, mixture, solver, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "projected_gradient", counted)
+        code, _ = _grid_sweep(sweep_setup, "grid.csv", betas="1.5,2")
+        assert code == 0
+        # 2 mixtures x 2 d x 2 steps: once at beta 2, once per direction at 1.5
+        assert sorted(set(calls)) == [(1.5, "left"), (1.5, "right"), (2.0, "right")]
+        assert calls.count((2.0, "right")) == 8
+        assert calls.count((1.5, "right")) == calls.count((1.5, "left")) == 8
+
+    def test_beta_2_rows_of_both_directions_are_equal(self, sweep_setup, capsys):
+        code, out = _grid_sweep(sweep_setup, "grid.csv", betas="1.5,2")
+        assert code == 0
+        rows = [
+            dict(zip(HEADER_FIELDS, line.split(",")))
+            for line in out.read_text().strip().split("\n")[1:]
+        ]
+        # 2 mixtures x 2 d x 2 betas x 2 directions x 2 steps
+        assert len(rows) == 32
+        by_direction = {"right": [], "left": []}
+        for row in rows:
+            if row["beta"] == "2.000000":
+                by_direction[row.pop("direction")].append(row)
+        assert len(by_direction["right"]) == 8
+        assert by_direction["right"] == by_direction["left"]
+
+    def test_groups_start_by_beta_descending(self, sweep_setup, capsys, monkeypatch):
+        _in_process(monkeypatch)
+        tasks = []
+        original = cli._sweep_group
+
+        def recorded(block, task):
+            tasks.append(task)
+            return original(block, task)
+
+        monkeypatch.setattr(cli, "_sweep_group", recorded)
+        code, _ = _grid_sweep(sweep_setup, "grid.csv", betas="0,2,1.5")
+        assert code == 0
+        block = [(2.0, "right"), (1.5, "right"), (1.5, "left"),
+                 (0.0, "right"), (0.0, "left")]
+        # 2 mixtures x 2 d blocks
+        assert tasks == block * 4
+
+    def test_group_order_does_not_change_the_output(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        code, forward = _grid_sweep(sweep_setup, "forward.csv", betas="0,1.5,2")
+        assert code == 0
+        forward_summary = capsys.readouterr().out
+        original = cli._distinct_groups
+        monkeypatch.setattr(
+            cli, "_distinct_groups",
+            lambda *args: dict(reversed(original(*args).items())),
+        )
+        code, backward = _grid_sweep(sweep_setup, "backward.csv", betas="0,1.5,2")
+        assert code == 0
+        assert capsys.readouterr().out == forward_summary
+        assert backward.read_bytes() == forward.read_bytes()
+
+    def test_default_grid_runs_306_problems_per_mixture(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        calls = []
+        original = cli.projected_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "projected_gradient", counted)
+        out = sweep_setup["dir"] / "default.csv"
+        # the test split's one mixture; with no iteration each run only
+        # copies its start
+        code = cli.main([
+            "sweep", "--manifest", sweep_setup["manifest"], "--csv", str(out),
+            "--split", "test", "--win", "256", "--hop", "64", "--iterations", "0",
+        ])
+        assert code == 0
+        # 9 betas x 2 directions x 2 d x 9 steps = 324 rows from
+        # (8 x 2 + 1) x 2 x 9 = 306 runs
+        assert len(out.read_text().strip().split("\n")) == 1 + 324
+        assert len(calls) == 306

@@ -11,6 +11,7 @@ from bregsep.solvers import (
     SolverConfig,
     SolverDivergedError,
     misi,
+    objective_gradient,
     pgd_start,
     projected_gradient,
 )
@@ -311,6 +312,74 @@ def test_shared_start_equals_own_start(
         for name in ("sources", "targets", "direction")
         for a, b in zip(getattr(start, name), getattr(pristine, name))
     )
+
+
+def _awkward_measurements(rng, length, d, awkward):
+    """|stft|^d of noise with a share `awkward` of its bins set to exact
+    zero or to values under EPS_FLOOR, half each."""
+    data = np.abs(stft(Signal(rng.standard_normal(length)), PGD_CONFIG).data) ** d
+    pick = rng.random(data.shape)
+    data[pick < awkward / 2] = 0.0
+    under = (pick >= awkward / 2) & (pick < awkward)
+    data[under] = rng.uniform(0.0, EPS_FLOOR, np.count_nonzero(under))
+    return Measurements(data, d)
+
+
+# The sweep runs beta 2 under one direction and writes its rows for both:
+# the two directions must be one problem, bit for bit, on every input,
+# floored bins and blow-ups included.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 600),
+    st.sampled_from((2, 3)),
+    st.sampled_from((1, 2)),
+    # 1e300 overflows: the run diverges
+    st.one_of(st.sampled_from((0.0, 1e300)), st.floats(1e-4, 10.0)),
+    st.integers(0, 4),
+    # 1: every bin zero or under the floor, so masked starts are silent
+    st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+    st.booleans(),
+)
+@example(0, 300, 2, 1, 1e300, 2, 0.1, True)
+@example(1, 300, 3, 2, 0.0, 4, 1.0, True)
+def test_beta_2_left_and_right_are_one_problem(
+    seed, length, count, d, step, iterations, awkward, masked
+):
+    rng = np.random.default_rng(seed)
+    mixture = Signal(rng.standard_normal(length))
+    measurements = [
+        _awkward_measurements(rng, length, d, awkward) for _ in range(count)
+    ]
+    init = None
+    if not masked:
+        init = [Signal(rng.standard_normal(length)) for _ in range(count)]
+    outcomes = []
+    for direction in ("right", "left"):
+        solver = SolverConfig(DivergenceSpec(2.0, direction, d), step, iterations)
+        try:
+            out = projected_gradient(
+                measurements, mixture, solver, PGD_CONFIG, init=init
+            )
+        except SolverDivergedError as err:
+            outcomes.append(((err.iteration, err.reason), None))
+        else:
+            outcomes.append((None, [s.samples for s in out.sources]))
+    (right_stop, right), (left_stop, left) = outcomes
+    assert right_stop == left_stop
+    if right is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(right, left))
+
+    signal = Signal(
+        np.zeros(length) if awkward == 1.0 else rng.standard_normal(length)
+    )
+    right, left = (
+        objective_gradient(
+            signal, measurements[0], DivergenceSpec(2.0, direction, d), PGD_CONFIG
+        ).samples
+        for direction in ("right", "left")
+    )
+    assert np.array_equal(right, left)
 
 
 # zeros of both signs, the smallest subnormal and normal, the largest

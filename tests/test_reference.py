@@ -1,0 +1,125 @@
+"""Pinned results: fixed-seed CLI rows against a committed reference file.
+
+`reference.csv` holds the metrics rows of a `sweep` over the first three
+mixtures of the acceptance corpus on criterion 9's grid (both d, both
+directions, betas 0, 1 and 2, steps 0.001, 0.1 and 1, 3 iterations, noisy
+oracle at sigma 0.3, `--seed 5`), followed by one `separate` row each for
+`misi`, `gl`, `amplitude_mask` and `pgd` on the first mixture.  The test
+runs the same commands again.  Every field but the floats must match
+exactly, `status` included; floats must agree within their printed
+precision, 1e-6.  Byte identity is not asked for: another numpy may
+round the last printed digit the other way.
+
+After a change that is meant to move results, regenerate the file with
+
+    PYTHONPATH=src python tests/test_reference.py
+
+and list the rows that changed with the change.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from decimal import Decimal
+from pathlib import Path
+
+import numpy as np
+
+from bregsep import cli
+from bregsep.audio import write_wav
+from bregsep.transform import Signal
+from test_acceptance import RATE, _harmonic_speech
+
+REFERENCE = Path(__file__).with_name("reference.csv")
+# the fields printed with six decimals; every other field compares exactly
+FLOAT_FIELDS = ("beta", "step_size", "snr_db", "sigma", "sdr_init", "sdr", "sdri")
+TOLERANCE = Decimal("0.000001")
+MIXTURES = 3
+_COMMON_OPTIONS = (
+    "--provider", "noisy_oracle", "--sigma", "0.3", "--iterations", "3",
+)
+SEPARATE_ALGOS = (
+    ("misi", ()),
+    ("gl", ()),
+    ("amplitude_mask", ()),
+    ("pgd", ("--beta", "1.5", "--direction", "left", "--step-size", "0.1")),
+)
+
+
+def _write_corpus(root):
+    """The acceptance corpus's first MIXTURES mixtures and their manifest."""
+    lines = ["mixture_id,speech,noise,snr_db,seed,split"]
+    for k in range(MIXTURES):
+        write_wav(root / ("speech_%02d.wav" % k), _harmonic_speech(k, 2 * RATE))
+        samples = np.random.default_rng(900 + k).standard_normal(int(2.5 * RATE))
+        samples *= 0.3 / np.max(np.abs(samples))
+        write_wav(root / ("noise_%d.wav" % k), Signal(samples, RATE))
+        lines.append("mix_%02d,speech_%02d.wav,noise_%d.wav,0.0,%d,validation"
+                     % (k, k, k, k + 1))
+    manifest = root / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError("bregsep %s exited %d" % (argv[0], code))
+
+
+def reference_lines(root):
+    """The CSV lines, header first, that reference.csv pins; root is an
+    empty directory for the corpus and the commands' outputs."""
+    manifest = _write_corpus(root)
+    out = root / "sweep.csv"
+    _run([
+        "sweep", "--manifest", str(manifest), "--csv", str(out), "--seed", "5",
+        "--betas", "0,1,2", "--step-sizes", "0.001,0.1,1", *_COMMON_OPTIONS,
+    ])
+    lines = out.read_text().splitlines()
+    for algo, options in SEPARATE_ALGOS:
+        out = root / ("%s.csv" % algo)
+        _run([
+            "separate", "--speech", str(root / "speech_00.wav"),
+            "--noise", str(root / "noise_0.wav"), "--snr", "0", "--seed", "1",
+            "--mixture-id", "mix_00", "--algo", algo, "--csv", str(out),
+            *_COMMON_OPTIONS, *options,
+        ])
+        lines += out.read_text().splitlines()[1:]
+    return lines
+
+
+def _mismatches(got, want):
+    """(line, field, want, got) for every field that differs beyond the
+    tolerance; lines count from 1, the header included."""
+    found = []
+    for number, (got_line, want_line) in enumerate(zip(got, want), start=2):
+        got_row = cli.Row(*got_line.split(","))
+        want_row = cli.Row(*want_line.split(","))
+        for name, got_value, want_value in zip(cli.Row._fields, got_row, want_row):
+            if name in FLOAT_FIELDS:
+                same = abs(Decimal(got_value) - Decimal(want_value)) <= TOLERANCE
+            else:
+                same = got_value == want_value
+            if not same:
+                found.append((number, name, want_value, got_value))
+    return found
+
+
+def test_rows_match_the_pinned_reference(tmp_path):
+    want = REFERENCE.read_text().splitlines()
+    got = reference_lines(tmp_path)
+    assert got[0] == want[0] == cli.CSV_HEADER
+    assert len(got) == len(want)
+    mismatches = _mismatches(got[1:], want[1:])
+    assert not mismatches, "%d fields differ from %s, first: %s" % (
+        len(mismatches), REFERENCE.name, mismatches[:5])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        lines = reference_lines(Path(work))
+    REFERENCE.write_text("\n".join(lines) + "\n")
+    print("wrote %s: %d rows" % (REFERENCE, len(lines) - 1), file=sys.stderr)
