@@ -30,8 +30,9 @@ import multiprocessing
 import os
 import signal
 import sys
+import threading
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -317,73 +318,92 @@ def _cmd_mix(ns):
     return 0
 
 
-def _initialize(speech, scaled, mixture, provider, d, stft_config):
-    """Measurements at exponent d, the amplitude-mask init and its SDR."""
-    measurements = provide_spectrograms(
-        [speech, scaled], provider, d, stft_config
-    )
+# one separation problem and the settings of its cells: the identity fields
+# of its rows, a mixture's measurements at exponent d and their
+# amplitude-mask init.  _run_cell runs a cell of it; _sweep_group a group
+_Block = namedtuple(
+    "_Block",
+    "mixture_id snr_db seed sigma speech mixture measurements init sdr_init "
+    "d steps iterations stft_config",
+)
+
+
+def _block(
+    mixture_id, snr_db, seed, signals, provider, d, steps, iterations, stft_config
+):
+    """The _Block of (speech, scaled noise, mixture) signals at exponent d."""
+    speech, scaled, mixture = signals
+    measurements = provide_spectrograms([speech, scaled], provider, d, stft_config)
     init = amplitude_mask_init(measurements, mixture, stft_config)
-    return measurements, init, sdr(speech, init[0])
+    return _Block(
+        mixture_id, snr_db, seed, provider.sigma, speech, mixture, measurements,
+        init, sdr(speech, init[0]), d, steps, iterations, stft_config,
+    )
 
 
-def _run_and_score(run, speech, sdr_init):
-    """Call run() for the estimates and score the first against the speech.
+def _run_cell(block, algo, solver, start=None):
+    """Run algo from the block's init, or pgd from start, and score it.
+
+    solver's beta, d, direction and step size are the row's for every algo;
+    gl and misi take its iteration count.  start: a PgdStart of the block's
+    problem, which pgd runs that differ in step size alone share.
 
     Returns:
-        (estimates, status, sdr, sdri); on SolverDivergedError (None,
-        "diverged", sdr_init, 0.0).
+        (Row, estimates); on SolverDivergedError a "diverged" Row with the
+        init's SDR and an SDRi of 0, and estimates None.
     """
+    estimates = None
     try:
-        estimates = run()
+        if algo == "amplitude_mask":
+            estimates = block.init
+        elif algo == "gl":
+            # per-source phase recovery, no mixture constraint
+            estimates = [
+                griffin_lim(r, s, solver.iterations, block.stft_config)
+                for r, s in zip(block.measurements, block.init)
+            ]
+        elif algo == "misi":
+            estimates = misi(
+                block.measurements, block.mixture, solver.iterations,
+                block.stft_config, init=block.init,
+            ).sources
+        else:
+            estimates = projected_gradient(
+                block.measurements, block.mixture, solver, block.stft_config,
+                init=block.init if start is None else None, start=start,
+            ).sources
     except SolverDivergedError:
-        return None, "diverged", sdr_init, 0.0
-    value = sdr(speech, estimates[0])
-    return estimates, "ok", value, value - sdr_init
-
-
-def _run_algorithm(ns, measurements, mixture, init, stft_config):
-    """Run the selected algorithm starting from the amplitude-mask init."""
-    algo = ns["algo"]
-    iterations = ns["iterations"]
-    if algo == "amplitude_mask":
-        return init
-    if algo == "gl":
-        # per-source phase recovery, no mixture constraint
-        return [
-            griffin_lim(r, s, iterations, stft_config)
-            for r, s in zip(measurements, init)
-        ]
-    if algo == "misi":
-        return misi(measurements, mixture, iterations, stft_config, init=init).sources
-    spec = DivergenceSpec(ns["beta"], ns["direction"], ns["d"])
-    solver = SolverConfig(spec, ns["step_size"], iterations)
-    return projected_gradient(
-        measurements, mixture, solver, stft_config, init=init
-    ).sources
+        status, value = "diverged", block.sdr_init
+    else:
+        status, value = "ok", sdr(block.speech, estimates[0])
+    spec = solver.spec
+    row = Row(
+        algo, spec.beta, spec.d, spec.direction, solver.step_size, block.snr_db,
+        block.sigma, block.seed, block.mixture_id, status, block.sdr_init,
+        value, value - block.sdr_init,
+    )
+    return row, estimates
 
 
 def _cmd_separate(ns):
-    if ns["algo"] in ("gl", "misi") and ns["d"] != 1:
-        raise ValueError("%s needs magnitude measurements (--d 1)" % ns["algo"])
+    algo = ns["algo"]
+    if algo in ("gl", "misi") and ns["d"] != 1:
+        raise ValueError("%s needs magnitude measurements (--d 1)" % algo)
+    # every algo's row carries these fields, so they are checked for every
+    # algo, before any file is read
+    solver = SolverConfig(
+        DivergenceSpec(ns["beta"], ns["direction"], ns["d"]),
+        ns["step_size"], ns["iterations"],
+    )
     mixture_id = _check_mixture_id(ns["mixture_id"] or Path(ns["speech"]).stem)
-    speech, scaled, mixture = _load_pair(
-        ns["speech"], ns["noise"], ns["snr"], ns["seed"]
+    block = _block(
+        mixture_id, ns["snr"], ns["seed"],
+        _load_pair(ns["speech"], ns["noise"], ns["snr"], ns["seed"]),
+        ProviderSpec(ns["provider"], ns["sigma"], ns["seed"]), ns["d"],
+        [solver.step_size], solver.iterations, StftConfig(ns["win"], ns["hop"]),
     )
-    stft_config = StftConfig(ns["win"], ns["hop"])
-    provider = ProviderSpec(ns["provider"], ns["sigma"], ns["seed"])
-    measurements, init, sdr_init = _initialize(
-        speech, scaled, mixture, provider, ns["d"], stft_config
-    )
-    estimates, status, sdr_out, sdri_out = _run_and_score(
-        lambda: _run_algorithm(ns, measurements, mixture, init, stft_config),
-        speech,
-        sdr_init,
-    )
-    line = _ROW_FORMAT % Row(
-        ns["algo"], ns["beta"], ns["d"], ns["direction"], ns["step_size"],
-        ns["snr"], ns["sigma"], ns["seed"], mixture_id, status,
-        sdr_init, sdr_out, sdri_out,
-    )
+    row, estimates = _run_cell(block, algo, solver)
+    line = _ROW_FORMAT % row
     print(CSV_HEADER)
     print(line)
     if ns["csv"]:
@@ -391,7 +411,7 @@ def _cmd_separate(ns):
     if ns["out_dir"] and estimates is not None:
         out_dir = Path(ns["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_wav(out_dir / "mixture.wav", mixture)
+        write_wav(out_dir / "mixture.wav", block.mixture)
         for index, source in enumerate(estimates):
             write_wav(out_dir / ("source_%d.wav" % index), source)
     return 0
@@ -491,14 +511,6 @@ def _print_sweep_summary(records):
             print("misi_cell mean_sdri=%.6f" % misi_mean)
 
 
-# one (mixture, d) block of a sweep; _sweep_group runs a group of it
-_Block = namedtuple(
-    "_Block",
-    "row speech mixture measurements init sdr_init d steps iterations "
-    "sigma stft_config",
-)
-
-
 def _sweep_group(block, task):
     """Run every step size of one (beta, direction) group of a block.
 
@@ -516,25 +528,12 @@ def _sweep_group(block, task):
     start = pgd_start(
         block.measurements, block.mixture, spec, block.stft_config, block.init
     )
-    rows = []
-    for step in block.steps:
-        solver = SolverConfig(spec, step, block.iterations)
-        # scored and dropped: held into the next cell, next to the shared
-        # start, they raised the sweep's peak memory
-        status, value, improvement = _run_and_score(
-            lambda: projected_gradient(
-                block.measurements, block.mixture, solver, block.stft_config,
-                start=start,
-            ).sources,
-            block.speech,
-            block.sdr_init,
-        )[1:]
-        rows.append(Row(
-            "pgd", beta, block.d, direction, step, block.row["snr_db"],
-            block.sigma, block.row["seed"], block.row["mixture_id"], status,
-            block.sdr_init, value, improvement,
-        ))
-    return rows
+    # each cell's estimates are dropped at once: held into the next cell,
+    # next to the shared start, they raised the sweep's peak memory
+    return [
+        _run_cell(block, "pgd", SolverConfig(spec, step, block.iterations), start)[0]
+        for step in block.steps
+    ]
 
 
 # a pool worker's block: inherited at fork with the initializer's
@@ -553,6 +552,10 @@ def _group_in_worker(task):
     # the pool sends this function by name; _sweep_group is looked up when
     # it runs, in the worker's copy of this module
     return _sweep_group(_worker_block, task)
+
+
+# seconds between a pool's looks for a recorded Ctrl-C while it waits
+_INTERRUPT_POLL_S = 0.1
 
 
 def _sweep_workers(groups):
@@ -578,17 +581,40 @@ def _run_groups(block, tasks):
     the pool cancels the groups not yet started and joins its workers; a
     worker that dies (say, killed for memory) raises BrokenProcessPool
     rather than leaving the sweep waiting for its result.
+
+    While a pool runs, Ctrl-C in the main thread is only recorded, and
+    KeyboardInterrupt is raised here between waits: raised inside the
+    executor's own code, it can leave a lock held and hang the shutdown.
     """
     workers = _sweep_workers(len(tasks))
     if workers == 1:
         return [_sweep_group(block, task) for task in tasks]
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
         initargs=(block,),
-    ) as pool:
-        return list(pool.map(_group_in_worker, tasks))
+    )
+    interrupts = []
+    held = threading.current_thread() is threading.main_thread() and (
+        signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    )
+    if held:
+        signal.signal(signal.SIGINT, lambda *args: interrupts.append(args))
+    try:
+        rows = []
+        for future in [pool.submit(_group_in_worker, task) for task in tasks]:
+            while not wait([future], _INTERRUPT_POLL_S).done:
+                if interrupts:
+                    raise KeyboardInterrupt
+            rows.append(future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if held:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    if interrupts:
+        raise KeyboardInterrupt
+    return rows
 
 
 def _distinct_groups(betas, directions):
@@ -628,16 +654,13 @@ def _cmd_sweep(ns):
     groups = _distinct_groups(betas, ns["directions"])
     records = []
     for row in rows:
-        speech, scaled, mixture = _load_pair(
-            row["speech"], row["noise"], row["snr_db"], row["seed"]
-        )
+        signals = _load_pair(row["speech"], row["noise"], row["snr_db"], row["seed"])
         provider_seed = ns["seed"] * _SEED_STRIDE + row["seed"]
         provider = ProviderSpec(ns["provider"], ns["sigma"], provider_seed)
         for d in ns["d_values"]:
-            block = _Block(
-                row, speech, mixture,
-                *_initialize(speech, scaled, mixture, provider, d, stft_config),
-                d, steps, ns["iterations"], ns["sigma"], stft_config,
+            block = _block(
+                row["mixture_id"], row["snr_db"], row["seed"], signals, provider,
+                d, steps, ns["iterations"], stft_config,
             )
             ran = _run_groups(block, list(groups))
             for group_rows, labels in zip(ran, groups.values()):

@@ -32,13 +32,15 @@ def sdr(reference, estimate):
 
     Args:
         reference: ground-truth Signal (must not be all-zero).
-        estimate: estimated Signal of the same length.
+        estimate: estimated Signal of the same length and sample rate.
 
     Returns:
         float dB value.
     """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate lengths differ")
+    if reference.sample_rate != estimate.sample_rate:
+        raise ValueError("reference and estimate sample rates differ")
     ref_norm = _norm(reference.samples)
     if ref_norm == 0.0:
         raise ValueError("reference signal has zero energy")

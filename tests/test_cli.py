@@ -72,6 +72,20 @@ class TestEval:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_sample_rate_mismatch_fails(self, tmp_path, capsys):
+        # equal lengths, so only the rates differ
+        samples = np.random.default_rng(12).uniform(-0.5, 0.5, 2000)
+        write_wav(tmp_path / "ref.wav", Signal(samples, RATE))
+        write_wav(tmp_path / "est.wav", Signal(samples, RATE // 2))
+        code = cli.main([
+            "eval", "--ref", str(tmp_path / "ref.wav"),
+            "--est", str(tmp_path / "est.wav"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "sample rates differ" in captured.err
+
 
 class TestMix:
     def test_writes_mixture_at_requested_snr(self, wavs, capsys):
@@ -195,6 +209,28 @@ class TestSeparate:
         ])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["misi", "gl", "amplitude_mask"])
+    @pytest.mark.parametrize(
+        "fields",
+        [("--beta", "nan", "--step-size", "nan"),
+         ("--beta", "-3", "--step-size", "-1"),
+         ("--beta", "2.5"), ("--step-size", "-1")],
+        ids=["nan", "negative", "beta", "step"],
+    )
+    def test_bad_row_fields_rejected_for_every_algo(
+        self, wavs, capsys, algo, fields
+    ):
+        # the row prints beta and step size whatever the algorithm
+        out = wavs["dir"] / "row.csv"
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--algo", algo, "--csv", str(out), *fields,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert "error:" in captured.err
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -492,6 +528,43 @@ class TestSweep:
         assert row["sdri"] == "0.000000"
         assert [err.reason for err in stopped_at] == ["energy bound"]
 
+    @pytest.mark.parametrize("run_groups", [_in_process, _two_workers])
+    def test_separate_prints_the_sweep_cells_line(
+        self, sweep_setup, capsys, monkeypatch, run_groups
+    ):
+        # with --seed 0 the sweep seeds mix_a's provider with its manifest
+        # seed, 1, as separate --seed 1 does.  Step 0.1 runs second in its
+        # group, from the start the step 0.01 run shared
+        run_groups(monkeypatch)
+        settings = [
+            "--win", "256", "--hop", "64", "--iterations", "2",
+            "--provider", "noisy_oracle", "--sigma", "0.5",
+        ]
+        out = sweep_setup["dir"] / "cells.csv"
+        code = cli.main([
+            "sweep", "--manifest", sweep_setup["manifest"], "--csv", str(out),
+            "--seed", "0", "--betas", "0,1.5", "--step-sizes", "0.01,0.1",
+            "--directions", "left", "--d-values", "1,2", *settings,
+        ])
+        assert code == 0
+        swept = out.read_text().split("\n")
+        capsys.readouterr()
+        statuses = []
+        for d in ("1", "2"):
+            for beta in ("0", "1.5"):
+                code = _separate([
+                    "--speech", str(sweep_setup["dir"] / "tone_a.wav"),
+                    "--noise", str(sweep_setup["dir"] / "noise.wav"),
+                    "--snr", "0", "--seed", "1", "--mixture-id", "mix_a",
+                    "--algo", "pgd", "--beta", beta, "--d", d,
+                    "--direction", "left", "--step-size", "0.1", *settings,
+                ])
+                assert code == 0
+                line = capsys.readouterr().out.split("\n")[1]
+                assert line in swept
+                statuses.append(line.split(",")[HEADER_FIELDS.index("status")])
+        assert statuses == ["diverged", "ok"] * 2
+
     def test_zero_iterations_compute_no_first_direction(
         self, sweep_setup, capsys, monkeypatch
     ):
@@ -731,6 +804,31 @@ class TestParallelSweep:
         monkeypatch.setattr(cli, "_sweep_group", interrupting)
         with pytest.raises(KeyboardInterrupt):
             _grid_sweep(parallel_setup, "grid.csv")
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_never_raises_inside_the_executor(
+        self, parallel_setup, capsys, monkeypatch
+    ):
+        # a KeyboardInterrupt raised in the executor's own code can leave
+        # one of its locks held, and the pool's shutdown then hangs
+        _two_workers(monkeypatch)
+        raised_inside = []
+
+        class Interrupted(cli.ProcessPoolExecutor):
+            def submit(self, *args):
+                try:
+                    os.kill(os.getpid(), signal.SIGINT)
+                    return super().submit(*args)
+                except KeyboardInterrupt:
+                    raised_inside.append(args)
+                    raise
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Interrupted)
+        monkeypatch.setattr(cli, "_sweep_group", lambda block, task: [])
+        with pytest.raises(KeyboardInterrupt):
+            _grid_sweep(parallel_setup, "grid.csv")
+        assert raised_inside == []
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_raises_instead_of_hanging(

@@ -40,6 +40,11 @@ class TestSdr:
         with pytest.raises(ValueError):
             sdr(Signal(np.ones(10)), Signal(np.ones(11)))
 
+    def test_sample_rate_mismatch_rejected(self):
+        samples = np.random.default_rng(SEED + 5).standard_normal(100)
+        with pytest.raises(ValueError, match="sample rates"):
+            sdr(Signal(samples, 16000), Signal(samples, 8000))
+
     def test_scaling_both_leaves_sdr_unchanged(self):
         rng = np.random.default_rng(SEED + 4)
         ref = rng.standard_normal(500)
