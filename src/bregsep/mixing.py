@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import Measurements, Signal, stft
+from .transform import Measurements, Signal, _stream
 
 PROVIDER_ORACLE = "oracle"
 PROVIDER_NOISY_ORACLE = "noisy_oracle"
@@ -110,7 +110,14 @@ def provide_spectrograms(sources, provider, d, config):
     rng = np.random.default_rng(provider.seed)
     out = []
     for source in sources:
-        mag = np.abs(stft(source, config).data)
+        # |rfft| is written block by block into the frame-major result
+        mag = np.empty((config.n_bins, config.n_frames(len(source))), order="F")
+
+        def measure(frames, spectra):
+            np.abs(spectra[0], out=mag[:, frames])
+            return []
+
+        _stream([source.samples], config, measure)
         if provider.mode == PROVIDER_NOISY_ORACLE:
             # in the spectrum's layout; the noise buffer becomes the result,
             # as the product's did, since which large buffer survives moves

@@ -11,7 +11,9 @@ normalized step, its update reduces exactly to MISI.  Because the transform
 is linear, a gradient step followed by the projection equals the step along
 the source's integrand minus the mean integrand over sources; those C steps
 sum to zero, so each iteration costs C forward transforms and C - 1 inverse
-transforms.  Every PGD run starts from a :class:`PgdStart`, which computes
+transforms, streamed a block of frames at a time like every transform of
+amplitude masking, Griffin-Lim and MISI: no solver holds a full complex
+spectrogram.  Every PGD run starts from a :class:`PgdStart`, which computes
 the first iteration up to the step size on first use.  Runs that differ only
 in step size share one read-only (``projected_gradient(..., start=...)``);
 a run without one builds its own and scales it in place.
@@ -41,6 +43,7 @@ from .transform import (
     StftConfig,
     _istft_data,
     _stft_data,
+    _stream,
     symmetry_weights,
 )
 
@@ -100,15 +103,25 @@ class SeparationResult:
     sources: list
 
 
-def _phase_synthesis(amplitudes, spectrum, config, length):
-    """istft(a * X / |X|) for each amplitude a, X's unit phase computed once.
+def _phase_synthesis(measurements, x, config):
+    """istft(r^(1/d) * X / |X|) for each measurement r, X the stft of x.
 
-    Zero-magnitude bins of X get unit factor 1 (phase 0).  Returns a list of
-    sample arrays of the given length.
+    X's unit phase is computed once per block, in place of X; bins whose |X|
+    is not positive get unit factor 1 (phase 0).  Returns sample arrays.
     """
-    mag = np.abs(spectrum)
-    phase = np.divide(spectrum, mag, out=np.ones_like(spectrum), where=mag > 0)
-    return [_istft_data(a * phase, config, length) for a in amplitudes]
+
+    def synthesise(frames, spectra):
+        (phase,) = spectra
+        mag = np.abs(phase)
+        positive = mag > 0
+        np.divide(phase, mag, out=phase, where=positive)
+        phase[~positive] = 1.0
+        return [
+            (r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])) * phase
+            for r in measurements
+        ]
+
+    return _stream([x], config, synthesise, len(measurements))
 
 
 def _project(estimates, x):
@@ -133,13 +146,6 @@ def _check_measurements(measurements, mixture, config, d=None):
         raise ValueError("all measurements must share the same exponent d")
 
 
-def _amplitude_mask(measurements, mixture, config):
-    # each amplitude is built just before its synthesis, not all up front
-    amplitudes = (r.data if r.d == 1 else np.sqrt(r.data) for r in measurements)
-    spectrum = _stft_data(mixture.samples, config)
-    return _phase_synthesis(amplitudes, spectrum, config, len(mixture))
-
-
 def amplitude_mask_init(measurements, mixture, config):
     """Initial source estimates from the mixture phase.
 
@@ -159,7 +165,7 @@ def amplitude_mask_init(measurements, mixture, config):
     _check_measurements(measurements, mixture, config)
     return [
         Signal(s, mixture.sample_rate)
-        for s in _amplitude_mask(measurements, mixture, config)
+        for s in _phase_synthesis(measurements, mixture.samples, config)
     ]
 
 
@@ -172,7 +178,7 @@ def _initial_sources(name, measurements, mixture, config, d, init):
         raise ValueError("%s needs at least two sources" % name)
     _check_measurements(measurements, mixture, config, d=d)
     if init is None:
-        return _amplitude_mask(measurements, mixture, config)
+        return _phase_synthesis(measurements, mixture.samples, config)
     if len(init) != len(measurements):
         raise ValueError("init must provide one signal per source")
     if any(len(s) != len(mixture) for s in init):
@@ -203,9 +209,7 @@ def griffin_lim(measurements, init, iterations, config):
     _check_measurements([measurements], init, config)
     s = init.samples
     for _ in range(iterations):
-        (s,) = _phase_synthesis(
-            [measurements.data], _stft_data(s, config), config, len(init)
-        )
+        (s,) = _phase_synthesis([measurements], s, config)
     # with no iteration s is still the init's own array, which a caller may reuse
     return Signal(s if iterations else s.copy(), init.sample_rate)
 
@@ -254,8 +258,7 @@ def misi(measurements, mixture, iterations, config, init=None):
     current = _initial_sources("misi", measurements, mixture, config, 1, init)
     for _ in range(iterations):
         updated = [
-            _phase_synthesis([r.data], _stft_data(s, config), config, len(mixture))[0]
-            for r, s in zip(measurements, current)
+            _phase_synthesis([r], s, config)[0] for r, s in zip(measurements, current)
         ]
         current = _project(updated, mixture.samples)
     if not iterations:
@@ -316,25 +319,26 @@ def objective_gradient(signal, measurements, spec, config):
 def _zero_mean_updates(current, targets, spec, config):
     """istft(I_c - mean_c I) for every source c but the last.
 
-    I_c is the integrand of source c.  Scaled by step d these are the
-    sources' moves; the C moves sum to zero, so the last one is minus the
-    sum of these and costs no inverse transform.
+    I_c is the integrand of source c, computed a block of frames at a time.
+    Scaled by step d these are the sources' moves; the C moves sum to zero,
+    so the last one is minus the sum of these and costs no inverse transform.
     """
-    integrands = [
-        _integrand(spec, target, _stft_data(s, config))
-        for s, target in zip(current, targets)
-    ]
-    mean = integrands.pop()
-    for integrand in integrands:
-        mean += integrand
     # a multiply by the reciprocal: bitwise the same as complex / real,
     # and vectorised where numpy's complex division is not
-    mean *= 1.0 / len(current)
-    directions = []
-    for integrand in integrands:
-        integrand -= mean
-        directions.append(_istft_data(integrand, config, current[0].size))
-    return directions
+    inverse = 1.0 / len(current)
+
+    def update(frames, spectra):
+        integrands = [_integrand(spec, target[:, frames], spectrum)
+                      for spectrum, target in zip(spectra, targets)]
+        mean = integrands.pop()
+        for integrand in integrands:
+            mean += integrand
+        mean *= inverse
+        for integrand in integrands:
+            integrand -= mean
+        return integrands
+
+    return _stream(current, config, update, len(current) - 1)
 
 
 def _energy_bound(measurements, mixture, config):

@@ -15,6 +15,10 @@ Spectrogram-shaped arrays are (n_bins, n_frames), frame-major in memory
 transformed as one contiguous row before the transpose.  Measurements are
 held in that layout too, copied into it once if they arrive in another, so
 the solvers' elementwise passes read every operand along its strides.
+
+The solvers and providers stream signals through one kernel, 128 frames at
+a time, and build no full complex spectrogram; stft and istft are its
+whole-array case.  Results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -203,38 +207,90 @@ def symmetry_weights(config):
     return weights
 
 
-def _stft_data(x, config):
-    """Raw analysis on a bare sample array; no validation, no wrapping."""
-    n_frames = config.n_frames(x.size)
-    padded = np.zeros((n_frames - 1) * config.hop + config.win_length)
+# frames per block of the streaming kernel: each block's spectra, about
+# 1 MB per signal at win_length 1024, stay in cache while a solver uses them
+_BLOCK_FRAMES = 128
+
+
+def _buffer(n_frames, config):
+    """Zeros spanning n_frames frames: the analysis and synthesis buffer."""
+    return np.zeros((n_frames - 1) * config.hop + config.win_length)
+
+
+def _frames(x, config):
+    """(n_frames, win_length) view of the zero-extended copy of x."""
+    padded = _buffer(config.n_frames(x.size), config)
     padded[config.head_pad : config.head_pad + x.size] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, config.win_length)
-    frames = frames[:: config.hop]
+    return frames[:: config.hop]
+
+
+def _analyse(frames, config):
+    """Windowed one-sided spectra of the given frames, (n_bins, n_frames)."""
     return np.fft.rfft(frames * config.window, axis=1, norm="ortho").T
 
 
-def _istft_data(data, config, target_length):
-    """Raw synthesis to a bare sample array; no validation, no wrapping.
+def _overlap_add(spectra, config, buf, first):
+    """Synthesise spectra as frames first, first + 1, ... into buf.
 
-    Frames are overlap-added as win_length/hop strided adds of hop-long
-    segments, last segment first.  Every output sample thus sums its frames
-    in frame order, as a loop over frames would.
+    win_length/hop strided adds of hop-long segments, last segment first:
+    each sample sums its frames in frame order, across calls in frame order.
     """
     hop, overlap = config.hop, config.win_length // config.hop
-    n_frames = data.shape[1]
-    frames = np.fft.irfft(data.T, n=config.win_length, axis=1, norm="ortho")
+    n_frames = spectra.shape[1]
+    frames = np.fft.irfft(spectra.T, n=config.win_length, axis=1, norm="ortho")
     frames *= config.window
     segments = frames.reshape(n_frames, overlap, hop)
-    buf = np.zeros((n_frames - 1) * hop + config.win_length)
-    chunks = buf.reshape(-1, hop)
+    chunks = buf.reshape(-1, hop)[first:]
     for k in reversed(range(overlap)):
         chunks[k : k + n_frames] += segments[:, k]
+
+
+def _trimmed(buf, config, target_length):
+    """The synthesis buffer without its head padding, divided by b."""
     out = np.zeros(target_length)
     avail = min(target_length, buf.size - config.head_pad)
     if avail > 0:
         np.divide(buf[config.head_pad : config.head_pad + avail], config.b,
                   out=out[:avail])
     return out
+
+
+def _stream(signals, config, consume, n_out=0):
+    """The analysis-synthesis kernel, run _BLOCK_FRAMES frames at a time.
+
+    signals are bare sample arrays of one length.  For each block, in frame
+    order, consume(frames, spectra) gets the block's frame slice and a list
+    of every signal's spectra on it, and returns a list of n_out spectra on
+    the same frames.  These are synthesised into the n_out sample arrays of
+    the signals' length that are returned.  Each spectrum element and output
+    sample goes through the same operations in the same order as in
+    :func:`_stft_data` and :func:`_istft_data`, the whole-array case, so
+    while consume works element by element, results do not depend on the
+    block size.
+    """
+    views = [_frames(x, config) for x in signals]
+    n_frames = len(views[0])
+    bufs = [_buffer(n_frames, config) for _ in range(n_out)]
+    for first in range(0, n_frames, _BLOCK_FRAMES):
+        frames = slice(first, first + _BLOCK_FRAMES)
+        spectra = consume(frames, [_analyse(view[frames], config) for view in views])
+        # each spectrum is dropped once synthesised
+        for buf in bufs:
+            _overlap_add(spectra.pop(0), config, buf, first)
+    return [_trimmed(buf, config, signals[0].size) for buf in bufs]
+
+
+def _stft_data(x, config):
+    """Raw analysis on a bare sample array; no validation, no wrapping."""
+    return _analyse(_frames(x, config), config)
+
+
+def _istft_data(data, config, target_length):
+    """Raw synthesis to a bare sample array; no validation, no wrapping."""
+    buf = _buffer(data.shape[1], config)
+    _overlap_add(data, config, buf, 0)
+    return _trimmed(buf, config, target_length)
 
 
 def stft(signal, config):

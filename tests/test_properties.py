@@ -1,15 +1,21 @@
 """Property tests of the transform and solver identities over random
 configurations, signal lengths and seeds."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bregsep import solvers, transform
 from bregsep.divergence import EPS_FLOOR, DivergenceSpec, grad_term
+from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
     SolverConfig,
     SolverDivergedError,
+    amplitude_mask_init,
+    griffin_lim,
     misi,
     objective_gradient,
     pgd_start,
@@ -409,3 +415,110 @@ def test_reciprocal_scaling_is_division_by_the_source_count(values, count):
         assert np.array_equal(
             getattr(product, part), getattr(quotient, part), equal_nan=True
         )
+
+
+@st.composite
+def _block_and_length(draw):
+    """A streaming block size and a signal length: shorter than a hop, or
+    with a frame count one below, at or one above a multiple of the block."""
+    block = draw(st.sampled_from((1, 3, 7)))
+    hop = PGD_CONFIG.hop
+    if draw(st.booleans()):
+        return block, draw(st.integers(1, hop - 1))
+    # the grid has at least win_length/hop frames
+    frames = draw(st.sampled_from([
+        m * block + j for m in (1, 2, 3) for j in (-1, 0, 1) if m * block + j >= 4
+    ]))
+    # the lengths in one hop from here all have this frame count
+    length = (frames - 1) * hop - PGD_CONFIG.head_pad + 1
+    length += draw(st.integers(0, hop - 1))
+    assert PGD_CONFIG.n_frames(length) == frames
+    return block, length
+
+
+def _arrays_or_stop(run):
+    """The arrays run() returns, or the iteration and reason of the
+    SolverDivergedError it raises."""
+    try:
+        return run()
+    except SolverDivergedError as err:
+        return err.iteration, err.reason
+
+
+def _samples(signals):
+    return [s.samples for s in signals]
+
+
+# Streaming a clip through the transform kernel block by block must give
+# what one block of all frames gives, to the last bit: every element goes
+# through the same operations in the same order.
+@settings(max_examples=60, deadline=None)
+@given(
+    _block_and_length(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((2, 3)),
+    st.sampled_from((1, 2)),
+    st.sampled_from(("right", "left")),
+    st.one_of(st.sampled_from((0.0, 2.0)), st.floats(0.0, 2.0)),
+    # bins at exact zero or under EPS_FLOOR, see _awkward_measurements
+    st.sampled_from((0.0, 0.1, 0.5)),
+)
+@example((7, 6 * 16 - 48 + 1), 0, 2, 1, "right", 2.0, 0.1)
+@example((3, 13 * 16 - 48 + 5), 1, 3, 2, "left", 0.0, 0.5)
+def test_streamed_kernel_is_the_whole_array_kernel_bit_for_bit(
+    case, seed, count, d, direction, beta, awkward
+):
+    block, length = case
+    rng = np.random.default_rng(seed)
+    sources = [Signal(rng.standard_normal(length)) for _ in range(count)]
+    # a silent head gives exact-zero mixture bins, whose phase is 0
+    samples = rng.standard_normal(length)
+    samples[: rng.integers(0, length + 1)] = 0.0
+    mixture = Signal(samples)
+    magnitudes = [
+        _awkward_measurements(rng, length, 1, awkward) for _ in range(count)
+    ]
+    measurements = [Measurements(r.data**d, d) for r in magnitudes]
+    spec = DivergenceSpec(beta, direction, d)
+    targets = [solvers._prepared_target(spec, r) for r in measurements]
+    current = [rng.standard_normal(length) for _ in range(count)]
+    starts = [Signal(s) for s in current]
+
+    def update():
+        with np.errstate(all="ignore"):
+            return solvers._zero_mean_updates(current, targets, spec, PGD_CONFIG)
+
+    runs = {
+        "pgd update": update,
+        "pgd run": lambda: _samples(projected_gradient(
+            measurements, mixture, SolverConfig(spec, 0.1, 2), PGD_CONFIG
+        ).sources),
+        "amplitude mask": lambda: _samples(
+            amplitude_mask_init(measurements, mixture, PGD_CONFIG)
+        ),
+        "griffin-lim step": lambda: _samples(
+            [griffin_lim(magnitudes[0], starts[0], 1, PGD_CONFIG)]
+        ),
+        "misi step": lambda: _samples(
+            misi(magnitudes, mixture, 1, PGD_CONFIG, init=starts).sources
+        ),
+        "providers": lambda: [
+            r.data
+            for mode, sigma in (("oracle", 0.0), ("noisy_oracle", 0.5))
+            for r in provide_spectrograms(
+                sources, ProviderSpec(mode, sigma, seed), d, PGD_CONFIG
+            )
+        ],
+    }
+    for name, run in runs.items():
+        with mock.patch.object(transform, "_BLOCK_FRAMES", block):
+            streamed = _arrays_or_stop(run)
+        # one block of all frames: the whole-array case
+        with mock.patch.object(transform, "_BLOCK_FRAMES", 2**31):
+            whole = _arrays_or_stop(run)
+        if isinstance(whole, tuple):
+            assert streamed == whole, name
+            continue
+        assert len(streamed) == len(whole), name
+        for a, b in zip(streamed, whole):
+            assert np.array_equal(a, b, equal_nan=True), name

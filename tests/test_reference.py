@@ -8,7 +8,9 @@ oracle at sigma 0.3, `--seed 5`), followed by one `separate` row each for
 runs the same commands again.  Every field but the floats must match
 exactly, `status` included; floats must agree within their printed
 precision, 1e-6.  Byte identity is not asked for: another numpy may
-round the last printed digit the other way.
+round the last printed digit the other way.  A second test runs the same
+commands with the transform kernel streaming 7 frames at a time (19 blocks
+per 2 s clip instead of one) against the same file.
 
 After a change that is meant to move results, regenerate the file with
 
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bregsep import cli
+from bregsep import cli, transform
 from bregsep.audio import write_wav
 from bregsep.transform import Signal
 from test_acceptance import RATE, _harmonic_speech
@@ -108,14 +110,26 @@ def _mismatches(got, want):
     return found
 
 
-def test_rows_match_the_pinned_reference(tmp_path):
+def _check_against_reference(root):
     want = REFERENCE.read_text().splitlines()
-    got = reference_lines(tmp_path)
+    got = reference_lines(root)
     assert got[0] == want[0] == cli.CSV_HEADER
     assert len(got) == len(want)
     mismatches = _mismatches(got[1:], want[1:])
     assert not mismatches, "%d fields differ from %s, first: %s" % (
         len(mismatches), REFERENCE.name, mismatches[:5])
+
+
+def test_rows_match_the_pinned_reference(tmp_path):
+    _check_against_reference(tmp_path)
+
+
+def test_rows_match_the_pinned_reference_in_blocks_of_seven_frames(
+    tmp_path, monkeypatch
+):
+    # the sweep's workers are forked, so they stream in 7-frame blocks too
+    monkeypatch.setattr(transform, "_BLOCK_FRAMES", 7)
+    _check_against_reference(tmp_path)
 
 
 if __name__ == "__main__":

@@ -507,6 +507,47 @@ class TestProjectedGradient:
             assert all(not np.any(s.samples) for s in res.sources)
 
 
+class TestLongClipMemory:
+    """Peak traced memory on a 10 s, two-source problem, in units of one
+    full complex spectrogram: the solvers stream the transforms block by
+    block, so none builds a spectrogram-sized complex array."""
+
+    def _problem(self, d):
+        config = StftConfig(1024, 256)
+        rng = np.random.default_rng(SEED + 40)
+        x = Signal(rng.standard_normal(160000))
+        return config, x, _random_measurements(rng, 160000, 2, d=d, config=config)
+
+    @staticmethod
+    def _peak_in_spectrograms(run, meas):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (meas[0].data.size * np.dtype(np.complex128).itemsize)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_amplitude_mask_within_two_spectrograms(self, d):
+        config, x, meas = self._problem(d)
+        peak = self._peak_in_spectrograms(
+            lambda: amplitude_mask_init(meas, x, config), meas
+        )
+        assert peak <= 2
+
+    @pytest.mark.parametrize("beta, direction, d", [(1.5, "left", 1), (1.0, "right", 2)])
+    def test_pgd_within_four_spectrograms(self, beta, direction, d):
+        # three iterations from the amplitude-mask start
+        config, x, meas = self._problem(d)
+        cfg = SolverConfig(DivergenceSpec(beta, direction, d), 1e-3, 3)
+        peak = self._peak_in_spectrograms(
+            lambda: projected_gradient(meas, x, cfg, config), meas
+        )
+        assert peak <= 4
+
+
 class TestPgdStart:
     def _problem(self):
         rng = np.random.default_rng(SEED + 29)
@@ -553,6 +594,7 @@ class TestPgdStart:
 
         monkeypatch.setattr(solvers, "_stft_data", refuse)
         monkeypatch.setattr(solvers, "_istft_data", refuse)
+        monkeypatch.setattr(solvers, "_stream", refuse)
         built = pgd_start(meas, x, spec, CFG, init)
         monkeypatch.undo()
         for got, want in zip(built.direction, start.direction):
@@ -567,6 +609,7 @@ class TestPgdStart:
 
         monkeypatch.setattr(solvers, "_stft_data", refuse)
         monkeypatch.setattr(solvers, "_istft_data", refuse)
+        monkeypatch.setattr(solvers, "_stream", refuse)
         cfg = SolverConfig(spec, 1e-3, 0)
         for kwargs in ({"init": init}, {"start": start}):
             out = projected_gradient(meas, x, cfg, CFG, **kwargs)
