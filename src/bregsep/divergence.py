@@ -10,6 +10,10 @@ whose second derivative is x**(beta - 2) for every member:
 The divergence of r from z is the generator's Bregman remainder summed over
 entries.  "right" places the model |As|^d in the second slot, "left" in the
 first.
+
+The per-bin rules live here alone: the floor EPS_FLOOR, the model power |S|^d
+and the integrand PGD synthesises.  :func:`objective`, its gradient and PGD
+share them, so they see one floored model.
 """
 
 from __future__ import annotations
@@ -160,6 +164,43 @@ def _model_grad(spec, target_term, mag_d):
     return grad
 
 
+def _model_power(spectrum, d):
+    """The floored model magnitudes max(|S|, EPS_FLOOR)^d, a new array."""
+    mag = np.abs(spectrum)
+    np.maximum(mag, EPS_FLOOR, out=mag)
+    if d == 2:
+        np.square(mag, out=mag)
+    return mag
+
+
+def _prepared_target(spec, measurements):
+    """Measurements floored at EPS_FLOOR, as :func:`_target_term` of them.
+
+    For "right" that is the floored measurements: the measurements
+    themselves, uncopied, when no bin is below the floor.
+    """
+    data = measurements.data
+    if spec.direction == DIRECTION_RIGHT and data.min() >= EPS_FLOOR:
+        return data
+    return _target_term(spec, np.maximum(data, EPS_FLOOR))
+
+
+def _integrand(spec, target, spectrum):
+    """Overwrite spectrum S with S |S|^(d-2) gradterm and return it.
+
+    gradterm is the divergence's derivative at :func:`_model_power` of S
+    against target, the :func:`_prepared_target` of the measurements.
+    d istft of the result is the gradient of :func:`objective` divided by b.
+    """
+    mag_d = _model_power(spectrum, spec.d)
+    grad = _model_grad(spec, target, mag_d)
+    if spec.d == 1:
+        # |S|^(d-2) = 1/|S| for d = 1
+        grad /= mag_d
+    spectrum *= grad
+    return spectrum
+
+
 def objective(spec, measurements, signal, config):
     """Divergence between measurements and the signal's |stft|^d.
 
@@ -183,8 +224,7 @@ def objective(spec, measurements, signal, config):
     spectrogram = stft(signal, config)
     if measurements.data.shape != spectrogram.data.shape:
         raise ValueError("measurements shape does not match the analysis grid")
-    mag = np.maximum(np.abs(spectrogram.data), EPS_FLOOR)
-    mag_d = mag if spec.d == 1 else mag**2
+    mag_d = _model_power(spectrogram.data, spec.d)
     target = np.maximum(measurements.data, EPS_FLOOR)
     weights = symmetry_weights(config)[:, None]
     if spec.direction == DIRECTION_RIGHT:

@@ -29,6 +29,9 @@ class ProviderSpec:
             raise ValueError("unknown provider mode: %r" % (self.mode,))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
+        if self.mode == PROVIDER_ORACLE and self.sigma:
+            # the oracle adds no noise, so a row would report one it never had
+            raise ValueError("the oracle provider takes no sigma; use noisy_oracle")
 
 
 def align_noise(noise, length, seed):

@@ -12,9 +12,11 @@ is linear, a gradient step followed by the projection equals the step along
 the source's integrand minus the mean integrand over sources; those C steps
 sum to zero, so each iteration costs C forward transforms and C - 1 inverse
 transforms, streamed a block of frames at a time like every transform of
-amplitude masking, Griffin-Lim and MISI: no solver holds a full complex
-spectrogram.  Every PGD run starts from a :class:`PgdStart`, which computes
-the first iteration up to the step size on first use.  Runs that differ only
+amplitude masking, Griffin-Lim, MISI and :func:`objective_gradient`: no
+solver holds a full complex spectrogram.  The integrand, floor included, is
+the divergence module's, which evaluates the objective by the same rule.
+Every PGD run starts from a :class:`PgdStart`, which computes the first
+iteration up to the step size on first use.  Runs that differ only
 in step size share one read-only (``projected_gradient(..., start=...)``);
 a run without one builds its own and scales it in place.
 A PGD run stops with :class:`SolverDivergedError` at the first iterate
@@ -30,22 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergence import (
-    DIRECTION_RIGHT,
-    EPS_FLOOR,
-    DivergenceSpec,
-    _model_grad,
-    _target_term,
-)
+from .divergence import DivergenceSpec, _integrand, _prepared_target
 from .metrics import _norm
-from .transform import (
-    Signal,
-    StftConfig,
-    _istft_data,
-    _stft_data,
-    _stream,
-    symmetry_weights,
-)
+from .transform import Signal, StftConfig, _stream, symmetry_weights
 
 
 # how far past the problem's scale an iterate may go; see _energy_bound
@@ -267,53 +256,24 @@ def misi(measurements, mixture, iterations, config, init=None):
     return SeparationResult([Signal(s, mixture.sample_rate) for s in current])
 
 
-def _prepared_target(spec, measurements):
-    """Measurements floored at EPS_FLOOR, as :func:`_target_term` of them.
-
-    For "right" that is the floored measurements: the measurements
-    themselves, uncopied, when no bin is below the floor.
-    """
-    data = measurements.data
-    if spec.direction == DIRECTION_RIGHT and data.min() >= EPS_FLOOR:
-        return data
-    return _target_term(spec, np.maximum(data, EPS_FLOOR))
-
-
-def _integrand(spec, target, spectrum):
-    """Overwrite spectrum S with S |S|^(d-2) gradterm and return it.
-
-    gradterm is the divergence's derivative at |S|^d (|S| floored at
-    EPS_FLOOR) against target, the :func:`_prepared_target` of the
-    measurements.  d istft of the result is the gradient divided by b.
-    """
-    mag = np.abs(spectrum)
-    np.maximum(mag, EPS_FLOOR, out=mag)
-    if spec.d == 2:
-        np.square(mag, out=mag)
-        spectrum *= _model_grad(spec, target, mag)
-    else:
-        # |S|^(d-2) = 1/mag for d = 1
-        grad = _model_grad(spec, target, mag)
-        grad /= mag
-        spectrum *= grad
-    return spectrum
-
-
 def objective_gradient(signal, measurements, spec, config):
     """Gradient of :func:`bregsep.divergence.objective` w.r.t. the signal.
 
-    Computed as d * b * istft(As . |As|^(d-2) . gradterm) with the |.|^(d-2)
-    factor special-cased to 1 for d = 2 and magnitudes floored at EPS_FLOOR.
+    Computed as d * b * istft(As . |As|^(d-2) . gradterm), the istft of the
+    divergence's :func:`~bregsep.divergence._integrand`, streamed a block of
+    frames at a time.
 
     Returns:
         Signal holding the gradient (same length and rate as the input).
     """
     _check_measurements([measurements], signal, config, d=spec.d)
-    integrand = _integrand(
-        spec, _prepared_target(spec, measurements), _stft_data(signal.samples, config)
-    )
-    gradient = config.b * spec.d * _istft_data(integrand, config, len(signal))
-    return Signal(gradient, signal.sample_rate)
+    target = _prepared_target(spec, measurements)
+
+    def integrand(frames, spectra):
+        return [_integrand(spec, target[:, frames], spectra[0])]
+
+    (gradient,) = _stream([signal.samples], config, integrand, 1)
+    return Signal(config.b * spec.d * gradient, signal.sample_rate)
 
 
 def _zero_mean_updates(current, targets, spec, config):

@@ -16,9 +16,10 @@ transformed as one contiguous row before the transpose.  Measurements are
 held in that layout too, copied into it once if they arrive in another, so
 the solvers' elementwise passes read every operand along its strides.
 
-The solvers and providers stream signals through one kernel, 128 frames at
-a time, and build no full complex spectrogram; stft and istft are its
-whole-array case.  Results do not depend on the block size.
+The solvers (the objective's gradient included) and the providers stream
+signals through one kernel, 128 frames at a time, and build no full complex
+spectrogram; stft and istft, kept for the public API and the objective, are
+its whole-array case.  Results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _stream(signals, config, consume, n_out=0):
     the same frames.  These are synthesised into the n_out sample arrays of
     the signals' length that are returned.  Each spectrum element and output
     sample goes through the same operations in the same order as in
-    :func:`_stft_data` and :func:`_istft_data`, the whole-array case, so
+    :func:`stft` and :func:`istft`, the whole-array case, so
     while consume works element by element, results do not depend on the
     block size.
     """
@@ -279,18 +280,6 @@ def _stream(signals, config, consume, n_out=0):
         for buf in bufs:
             _overlap_add(spectra.pop(0), config, buf, first)
     return [_trimmed(buf, config, signals[0].size) for buf in bufs]
-
-
-def _stft_data(x, config):
-    """Raw analysis on a bare sample array; no validation, no wrapping."""
-    return _analyse(_frames(x, config), config)
-
-
-def _istft_data(data, config, target_length):
-    """Raw synthesis to a bare sample array; no validation, no wrapping."""
-    buf = _buffer(data.shape[1], config)
-    _overlap_add(data, config, buf, 0)
-    return _trimmed(buf, config, target_length)
 
 
 def stft(signal, config):
@@ -311,7 +300,9 @@ def stft(signal, config):
     x = signal.samples
     if x.size == 0:
         raise ValueError("cannot transform an empty signal")
-    return ComplexSpectrogram(_stft_data(x, config), config, signal.sample_rate)
+    return ComplexSpectrogram(
+        _analyse(_frames(x, config), config), config, signal.sample_rate
+    )
 
 
 def istft(spectrogram, target_length):
@@ -336,8 +327,9 @@ def istft(spectrogram, target_length):
     config = spectrogram.config
     if spectrogram.data.shape[0] != config.n_bins:
         raise ValueError("spectrogram bin count inconsistent with config")
-    out = _istft_data(spectrogram.data, config, target_length)
-    return Signal(out, spectrogram.sample_rate)
+    buf = _buffer(spectrogram.data.shape[1], config)
+    _overlap_add(spectrogram.data, config, buf, 0)
+    return Signal(_trimmed(buf, config, target_length), spectrogram.sample_rate)
 
 
 def magnitude_power(spectrogram, d):

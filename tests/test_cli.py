@@ -702,6 +702,42 @@ class TestSweep:
         assert captured.out == "" and not out.exists()
 
 
+def _oracle_sigma_options(directory, by_config):
+    """--provider oracle with sigma 0.5, given by flag or by [common] config."""
+    if not by_config:
+        return ["--provider", "oracle", "--sigma", "0.5"]
+    config = directory / "sigma.cfg"
+    config.write_text("[common]\nprovider = oracle\nsigma = 0.5\n")
+    return ["--config", str(config)]
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+class TestOracleSigmaRejected:
+    """A nonzero sigma with the oracle provider is an error, not a row that
+    reports noise its measurements never had."""
+
+    def test_separate(self, wavs, capsys, by_config):
+        out = wavs["dir"] / "row.csv"
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--csv", str(out), *_oracle_sigma_options(wavs["dir"], by_config),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "sigma" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_sweep(self, sweep_setup, capsys, by_config):
+        code, out = _sweep(
+            sweep_setup, "oracle.csv",
+            _oracle_sigma_options(sweep_setup["dir"], by_config),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "sigma" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 @pytest.fixture
 def parallel_setup(tmp_path):
     """Two mixtures under one repeated mixture_id, and a grid of 4 groups

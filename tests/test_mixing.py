@@ -161,3 +161,11 @@ class TestProvideSpectrograms:
     def test_bad_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite"):
             ProviderSpec("noisy_oracle", sigma)
+
+    def test_oracle_with_sigma_rejected(self):
+        # the oracle adds no noise, so it cannot honour a sigma
+        with pytest.raises(ValueError, match="oracle provider takes no sigma"):
+            ProviderSpec("oracle", 0.5)
+        ProviderSpec("oracle", 0.0)
+        # at sigma 0 the noisy oracle is the oracle, and stays allowed
+        ProviderSpec("noisy_oracle", 0.0)

@@ -16,7 +16,8 @@ After a change that is meant to move results, regenerate the file with
 
     PYTHONPATH=src python tests/test_reference.py
 
-and list the rows that changed with the change.
+which prints every changed field (line, field, old, new) to stderr before
+it rewrites the file, and list those with the change.
 """
 
 import contextlib
@@ -135,5 +136,10 @@ def test_rows_match_the_pinned_reference_in_blocks_of_seven_frames(
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         lines = reference_lines(Path(work))
+    old = REFERENCE.read_text().splitlines()
+    if len(old) != len(lines):
+        print("%d rows, were %d" % (len(lines) - 1, len(old) - 1), file=sys.stderr)
+    for change in _mismatches(lines[1:], old[1:]):
+        print("line %d %s: %s -> %s" % change, file=sys.stderr)
     REFERENCE.write_text("\n".join(lines) + "\n")
     print("wrote %s: %d rows" % (REFERENCE, len(lines) - 1), file=sys.stderr)

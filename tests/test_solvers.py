@@ -592,8 +592,6 @@ class TestPgdStart:
         def refuse(*args):
             raise AssertionError("a transform ran")
 
-        monkeypatch.setattr(solvers, "_stft_data", refuse)
-        monkeypatch.setattr(solvers, "_istft_data", refuse)
         monkeypatch.setattr(solvers, "_stream", refuse)
         built = pgd_start(meas, x, spec, CFG, init)
         monkeypatch.undo()
@@ -607,8 +605,6 @@ class TestPgdStart:
         def refuse(*args):
             raise AssertionError("a transform ran")
 
-        monkeypatch.setattr(solvers, "_stft_data", refuse)
-        monkeypatch.setattr(solvers, "_istft_data", refuse)
         monkeypatch.setattr(solvers, "_stream", refuse)
         cfg = SolverConfig(spec, 1e-3, 0)
         for kwargs in ({"init": init}, {"start": start}):
