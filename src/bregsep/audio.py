@@ -27,8 +27,9 @@ def load_wav(path):
         Signal with float64 samples; 16-bit PCM is scaled to [-1, 1).
 
     Raises:
-        ValueError: multichannel data, unsupported encoding, or a malformed
-            header.
+        ValueError: multichannel data, unsupported encoding, a malformed
+            header, no samples, or a non-finite float sample; the message
+            names the file.
     """
     try:
         rate, data = wavfile.read(path)
@@ -49,7 +50,13 @@ def load_wav(path):
             "%s: unsupported encoding %s (expected 16-bit PCM or 32-bit float)"
             % (path, data.dtype)
         )
-    return Signal(samples, int(rate))
+    if samples.size == 0:
+        raise ValueError("%s holds no samples" % path)
+    try:
+        return Signal(samples, int(rate))
+    except ValueError as exc:
+        # a float file holding NaN or inf
+        raise ValueError("%s: %s" % (path, exc))
 
 
 def write_wav(path, signal):

@@ -95,20 +95,33 @@ class SeparationResult:
 def _phase_synthesis(measurements, x, config):
     """istft(r^(1/d) * X / |X|) for each measurement r, X the stft of x.
 
-    X's unit phase is computed once per block, in place of X; bins whose |X|
-    is not positive get unit factor 1 (phase 0).  Returns sample arrays.
+    X's unit phase is computed once per block, in place of X, as X times
+    1/|X|; bins whose |X| is not positive get unit factor 1 (phase 0).  The
+    last measurement's product is formed in place of the phase, so a single
+    measurement (Griffin-Lim, MISI) allocates no product array.
+
+    The values equal those of np.divide(X, |X|) followed by r^(1/d) * phase,
+    bit for bit up to the sign of a zero part: numpy divides by |X| + 0i as
+    (x + 0 y) * (1/|X|) per part, and a product is the same in either order.
+    Returns sample arrays.
     """
 
     def synthesise(frames, spectra):
         (phase,) = spectra
-        mag = np.abs(phase)
-        positive = mag > 0
-        np.divide(phase, mag, out=phase, where=positive)
+        inverse = np.abs(phase)
+        positive = inverse > 0
+        np.divide(1.0, inverse, out=inverse, where=positive)
+        phase *= inverse
         phase[~positive] = 1.0
-        return [
-            (r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])) * phase
-            for r in measurements
-        ]
+
+        def amplitude(r):
+            return r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])
+
+        *rest, last = measurements
+        products = [amplitude(r) * phase for r in rest]
+        phase *= amplitude(last)
+        products.append(phase)
+        return products
 
     return _stream([x], config, synthesise, len(measurements))
 

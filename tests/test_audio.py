@@ -80,3 +80,21 @@ class TestWriteWav:
         path = tmp_path / "ok.wav"
         write_wav(path, Signal(np.array([0.0, 0.25, -0.25]), 16000))
         assert len(recwarn) == 0
+
+
+class TestLoadErrorsNameTheFile:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, 16000, np.array([0.25, bad, 0.0], dtype=np.float32))
+        with pytest.raises(ValueError, match="finite") as err:
+            load_wav(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_empty_file(self, tmp_path, dtype):
+        path = tmp_path / "empty.wav"
+        wavfile.write(path, 16000, np.zeros(0, dtype=dtype))
+        with pytest.raises(ValueError, match="no samples") as err:
+            load_wav(path)
+        assert str(path) in str(err.value)

@@ -6,6 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from bregsep import cli, solvers
 from bregsep.audio import load_wav, write_wav
@@ -289,6 +290,42 @@ class TestSeparate:
         code = _separate(["--speech", wavs["speech"]])
         assert code == 2
         assert "--noise" in capsys.readouterr().err
+
+
+class TestBadWavNamed:
+    """A WAV the CLI cannot use exits 2 with a message naming the file."""
+
+    @staticmethod
+    def _write(path, fault):
+        samples = {
+            "nan": np.array([0.25, np.nan, 0.0], dtype=np.float32),
+            "inf": np.array([0.25, np.inf, 0.0], dtype=np.float32),
+            "empty": np.zeros(0, dtype=np.int16),
+        }[fault]
+        wavfile.write(path, RATE, samples)
+
+    @pytest.mark.parametrize("role", ["speech", "noise"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "empty"])
+    def test_separate(self, wavs, capsys, role, fault):
+        bad = wavs["dir"] / "bad.wav"
+        self._write(bad, fault)
+        files = {"speech": wavs["speech"], "noise": wavs["noise"], role: str(bad)}
+        code = _separate([
+            "--speech", files["speech"], "--noise", files["noise"],
+            "--algo", "amplitude_mask",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(bad) in captured.err
+
+    @pytest.mark.parametrize("fault", ["nan", "empty"])
+    def test_eval(self, wavs, capsys, fault):
+        bad = wavs["dir"] / "bad.wav"
+        self._write(bad, fault)
+        code = cli.main(["eval", "--ref", wavs["speech"], "--est", str(bad)])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestConfigFile:

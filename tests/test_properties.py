@@ -541,3 +541,59 @@ def test_streamed_kernel_is_the_whole_array_kernel_bit_for_bit(
         assert len(streamed) == len(whole), name
         for a, b in zip(streamed, whole):
             assert np.array_equal(a, b, equal_nan=True), name
+
+
+def _phase_synthesis_by_division(measurements, x, config):
+    """The phase-synthesis step written out with numpy's complex division:
+    X / |X| on the positive bins, 1 on the others, then r^(1/d) * phase."""
+
+    def synthesise(frames, spectra):
+        (spectrum,) = spectra
+        mag = np.abs(spectrum)
+        positive = mag > 0
+        phase = np.ones_like(spectrum)
+        np.divide(spectrum, mag, out=phase, where=positive)
+        return [
+            (r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])) * phase
+            for r in measurements
+        ]
+
+    return transform._stream([x], config, synthesise, len(measurements))
+
+
+# _phase_synthesis multiplies by 1/|X| where numpy's complex division by
+# |X| + 0i does the same per part: the two must agree to the last bit,
+# whatever the complex-division loop of the installed numpy.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20 * PGD_CONFIG.hop),
+    st.sampled_from((1, 3, 7)),
+    st.integers(1, 3),
+    st.sampled_from((1, 2)),
+    # decades of gain for the signal and the measurements
+    st.integers(-100, 100),
+    st.integers(-100, 100),
+)
+@example(0, 5 * PGD_CONFIG.hop, 1, 3, 2, -100, 100)
+def test_phase_synthesis_equals_complex_division(
+    seed, length, block, count, d, signal_gain, measurement_gain
+):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length) * 10.0**signal_gain
+    # silent stretches: frames inside one have exact-zero bins
+    for _ in range(2):
+        start = rng.integers(0, length + 1)
+        x[start : start + rng.integers(0, length + 1)] = 0.0
+    shape = (PGD_CONFIG.n_bins, PGD_CONFIG.n_frames(length))
+    measurements = []
+    for _ in range(count):
+        data = rng.random(shape) * 10.0 ** (measurement_gain + rng.integers(-3, 4))
+        data[rng.random(shape) < 0.1] = 0.0
+        measurements.append(Measurements(data, d))
+    with mock.patch.object(transform, "_BLOCK_FRAMES", block):
+        got = solvers._phase_synthesis(measurements, x, PGD_CONFIG)
+        expected = _phase_synthesis_by_division(measurements, x, PGD_CONFIG)
+    assert len(got) == count
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
