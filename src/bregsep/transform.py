@@ -248,14 +248,12 @@ def _overlap_add(spectra, config, buf, first):
 
 
 def _trimmed(buf, config, target_length):
-    """The synthesis buffer without its head padding, divided by b, in a new
-    array of target_length samples, zero-padded past the buffer's end."""
-    head = config.head_pad
-    covered = buf.size - head
-    if covered >= target_length:
-        return buf[head : head + target_length] / config.b
+    """The synthesis buffer without its head padding, divided by b."""
     out = np.zeros(target_length)
-    np.divide(buf[head:], config.b, out=out[:covered])
+    avail = min(target_length, buf.size - config.head_pad)
+    if avail > 0:
+        np.divide(buf[config.head_pad : config.head_pad + avail], config.b,
+                  out=out[:avail])
     return out
 
 

@@ -52,10 +52,10 @@ def test_unknown_direction_rejected():
         ab.summarise([(1.0, 2.0)], "faster")
 
 
-def _checkout(root):
+def _checkout(root, bench=""):
     (root / "bench").mkdir(parents=True)
-    (root / "bench" / "run.py").write_text("")
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (root / "bench" / "run.py").write_text(bench)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
         {"name": "op_cost_ref", "better": "lower"},
         {"name": "sdri_db", "better": "higher"},
     ]}))
@@ -68,7 +68,7 @@ def test_paths_of_unequal_length_refused(tmp_path, capsys):
         ab.check_paths(parent, change)
     code = ab.main([
         "--parent", str(parent), "--change", str(change), "--workloads", "w",
-        "--seeds", "1", "--seconds", "1", "--out", str(tmp_path / "out.json"),
+        "--seeds", "1", "--out", str(tmp_path / "out.json"),
     ])
     assert code == 2
     assert "length" in capsys.readouterr().err
@@ -89,6 +89,7 @@ def test_pairs_alternate_and_the_report_sums_them(tmp_path, monkeypatch):
     def fake_run(root, workload, seed, seconds):
         side = "parent" if root == parent.resolve() else "change"
         calls.append((workload, seed, side))
+        assert seconds == 20
         cost = {"parent": 3.0, "change": 2.0}[side] + seed / 100.0
         return {"correct": True, "attempted": 10, "failed": int(side == "parent"),
                 "metrics": {"op_cost_ref": {"value": cost, "unit": "ref"},
@@ -99,7 +100,7 @@ def test_pairs_alternate_and_the_report_sums_them(tmp_path, monkeypatch):
     assert ab.main([
         "--parent", str(parent), "--change", str(change),
         "--workloads", "a", "b", "--seeds", "1", "2", "3",
-        "--seconds", "20", "--out", str(out),
+        "--out", str(out),
     ]) == 0
     assert calls == [
         ("a", 1, "parent"), ("a", 1, "change"), ("b", 1, "parent"), ("b", 1, "change"),
@@ -123,3 +124,55 @@ def test_pairs_alternate_and_the_report_sums_them(tmp_path, monkeypatch):
         assert summary["attempted"] == {"parent": 30, "change": 30}
         assert [pair["first"] for pair in summary["runs"]] == [
             "parent", "change", "parent"]
+        assert summary["exited_nonzero"] == {"parent": 0, "change": 0}
+
+
+# a stand-in for bench/run.py: prints a report line, or exits 3 at seed 2
+_FAKE_BENCH = """
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--seconds"] == "20" and args["--trace"] == "0"
+if args["--seed"] == "2" and EXIT_AT_SEED_2:
+    sys.exit(3)
+print("a line before the report")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    "op_cost_ref": {"value": COST, "unit": "ref"},
+    "sdri_db": {"value": 1.5, "unit": "dB"}}}))
+"""
+
+
+def test_a_run_that_exits_nonzero_is_kept_and_the_rest_still_summed(tmp_path):
+    parent = _checkout(tmp_path / "par", _FAKE_BENCH.replace(
+        "EXIT_AT_SEED_2", "False").replace("COST", "3.0"))
+    change = _checkout(tmp_path / "new", _FAKE_BENCH.replace(
+        "EXIT_AT_SEED_2", "True").replace("COST", "2.0"))
+    out = tmp_path / "BENCH.json"
+    assert ab.main([
+        "--parent", str(parent), "--change", str(change), "--workloads", "a",
+        "--seeds", "1", "2", "3", "--out", str(out),
+    ]) == 1
+    summary = json.loads(out.read_text())["workloads"]["a"]
+    assert [sorted(pair) for pair in summary["runs"]] == [
+        ["change", "first", "parent", "seed"]] * 3
+    assert summary["runs"][1]["change"] == {"correct": False, "returncode": 3}
+    assert summary["exited_nonzero"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 12, "change": 8}
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    # only the two pairs whose runs both finished are summarised
+    cost = summary["metrics"]["op_cost_ref"]
+    assert cost["pairs"] == 2 and cost["change_wins"] == 2
+    assert cost["parent"]["median"] == 3.0 and cost["change"]["median"] == 2.0
+
+
+def test_a_workload_with_no_finished_pair_has_no_summary(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "par"), _checkout(tmp_path / "new")
+    monkeypatch.setattr(ab, "run_bench", lambda *args: {"correct": False,
+                                                         "returncode": 1})
+    out = tmp_path / "BENCH.json"
+    assert ab.main([
+        "--parent", str(parent), "--change", str(change), "--workloads", "a",
+        "--seeds", "1", "--out", str(out),
+    ]) == 1
+    summary = json.loads(out.read_text())["workloads"]["a"]
+    assert summary["metrics"] == {}
+    assert summary["exited_nonzero"] == {"parent": 1, "change": 1}

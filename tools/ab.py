@@ -5,18 +5,21 @@ Run from anywhere, with both checkouts' files in place:
     python3 tools/ab.py --parent ../ab/par --change ../ab/new \\
         --workloads separate_baselines_short separate_pgd_long \\
         --seeds 15001 15002 15003 15004 15005 15006 15007 15008 15009 15010 \\
-        --seconds 20 --out BENCH_15.json
+        --out BENCH_15.json
 
 Each seed is one pair per workload: `bench/run.py --trace 0` runs once in
 each checkout, with the parent first in even-numbered pairs (counting from
 0) and the change first in odd ones, so a drift of the host's speed falls on
-both sides alike. Each checkout runs its own benchmark and program.
+both sides alike. Each checkout runs its own benchmark and program, for the
+`run_seconds` of the change's BENCHMARK.json.
 
 The output file holds, per workload and end-to-end metric of the change's
 BENCHMARK.json: each side's median and quartiles, the change's median minus
 the parent's, the parent's interquartile range, and the pairs each side won
-(a tie counts for neither); then the failed and attempted operations per
-side, every run's metrics, and the environment.
+(a tie counts for neither), over the pairs whose two runs both finished;
+then the failed and attempted operations per side, the runs that exited
+non-zero (kept with their exit code, and the tool exits 1 after writing the
+file), every run, and the environment.
 
 Timings move with the length of the checkout's path, not only with the
 code: the same program read 16-25 % faster in the longer-named of two
@@ -90,12 +93,15 @@ def summarise(pairs, better):
 
 
 def run_bench(root, workload, seed, seconds):
-    """The last stdout line of one `bench/run.py --trace 0` run, parsed."""
+    """The last stdout line of one `bench/run.py --trace 0` run, parsed; for
+    a run that exits non-zero, its exit code and no metrics."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, stdout=subprocess.PIPE, check=True, text=True,
+        cwd=root, stdout=subprocess.PIPE, text=True,
     )
+    if done.returncode != 0:
+        return {"correct": False, "returncode": done.returncode}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -116,7 +122,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True)
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     try:
@@ -124,7 +129,8 @@ def main(argv=None):
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    gated = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     runs = {workload: [] for workload in args.workloads}
     for index, seed in enumerate(args.seeds):
         for workload in args.workloads:
@@ -132,40 +138,48 @@ def main(argv=None):
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 root = parent if side == "parent" else change
-                pair[side] = run_bench(root, workload, seed, args.seconds)
+                pair[side] = run = run_bench(root, workload, seed, seconds)
                 print("%s seed %d %s: %s" % (workload, seed, side, json.dumps(
                     {name: metric["value"]
-                     for name, metric in pair[side]["metrics"].items()})),
+                     for name, metric in run["metrics"].items()}
+                    if "metrics" in run else run)),
                     file=sys.stderr, flush=True)
             runs[workload].append(pair)
     report = {
         # the directory names, and the length both paths share
         "checkouts": {"parent": parent.name, "change": change.name,
                       "path_length": len(str(parent))},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
         "environment": _environment(),
         "workloads": {},
     }
+    sides = ("parent", "change")
     for workload, pairs in runs.items():
+        finished = [pair for pair in pairs
+                    if all("metrics" in pair[side] for side in sides)]
         report["workloads"][workload] = {
             "metrics": {
                 metric["name"]: summarise(
                     [(pair["parent"]["metrics"][metric["name"]]["value"],
                       pair["change"]["metrics"][metric["name"]]["value"])
-                     for pair in pairs],
+                     for pair in finished],
                     metric["better"],
                 )
-                for metric in gated
+                for metric in benchmark["end_to_end"] if finished
             },
-            "failed": {side: sum(pair[side]["failed"] for pair in pairs)
-                       for side in ("parent", "change")},
-            "attempted": {side: sum(pair[side]["attempted"] for pair in pairs)
-                          for side in ("parent", "change")},
+            "failed": {side: sum(pair[side].get("failed", 0) for pair in pairs)
+                       for side in sides},
+            "attempted": {side: sum(pair[side].get("attempted", 0) for pair in pairs)
+                          for side in sides},
+            "exited_nonzero": {side: sum("returncode" in pair[side] for pair in pairs)
+                               for side in sides},
             "runs": pairs,
         }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    crashed = any("returncode" in pair[side]
+                  for pairs in runs.values() for pair in pairs for side in sides)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
