@@ -4,7 +4,7 @@ Run from anywhere, with both checkouts' files in place:
 
     python3 tools/ab.py --parent ../ab/par --change ../ab/new \\
         --workloads separate_baselines_short separate_pgd_long \\
-        --seeds 15001 15002 15003 15004 15005 15006 15007 15008 15009 15010 \\
+        --seeds 15201 15202 15203 15204 15205 15206 15207 15208 15209 15210 \\
         --out BENCH_15.json
 
 Each seed is one pair per workload: `bench/run.py --trace 0` runs once in
