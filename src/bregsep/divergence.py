@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import stft, symmetry_weights
+from .transform import _check_measurements, _stream, symmetry_weights
 
 DIRECTION_RIGHT = "right"
 DIRECTION_LEFT = "left"
@@ -210,23 +210,29 @@ def objective(spec, measurements, signal, config):
     this makes :func:`bregsep.solvers.objective_gradient` the exact gradient
     of this function.
 
+    The signal streams through the transform kernel, each block of frames
+    adding its :func:`bregman` sum.  Beyond one block (128 frames) the last
+    bits depend on how the sum is split into blocks.
+
     Args:
         spec: DivergenceSpec; spec.d must match measurements.d.
-        measurements: Measurements on the config's grid.
+        measurements: Measurements on the signal's analysis grid.
         signal: Signal to evaluate.
         config: StftConfig.
 
     Returns:
         Nonnegative float.
     """
-    if measurements.d != spec.d:
-        raise ValueError("measurements exponent %d != spec.d %d" % (measurements.d, spec.d))
-    spectrogram = stft(signal, config)
-    if measurements.data.shape != spectrogram.data.shape:
-        raise ValueError("measurements shape does not match the analysis grid")
-    mag_d = _model_power(spectrogram.data, spec.d)
-    target = np.maximum(measurements.data, EPS_FLOOR)
+    _check_measurements([measurements], signal, config, d=spec.d)
     weights = symmetry_weights(config)[:, None]
-    if spec.direction == DIRECTION_RIGHT:
-        return bregman(spec.beta, target, mag_d, weights=weights)
-    return bregman(spec.beta, mag_d, target, weights=weights)
+    sums = []
+
+    def add(frames, spectra):
+        mag_d = _model_power(spectra[0], spec.d)
+        target = np.maximum(measurements.data[:, frames], EPS_FLOOR)
+        r, z = (target, mag_d) if spec.direction == DIRECTION_RIGHT else (mag_d, target)
+        sums.append(bregman(spec.beta, r, z, weights=weights))
+        return []
+
+    _stream([signal.samples], config, add)
+    return sum(sums)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .divergence import DivergenceSpec, _integrand, _prepared_target
 from .metrics import _norm
-from .transform import Signal, StftConfig, _stream, symmetry_weights
+from .transform import Signal, StftConfig, _check_measurements, _stream, symmetry_weights
 
 
 # how far past the problem's scale an iterate may go; see _energy_bound
@@ -132,22 +132,6 @@ def _project(estimates, x):
     return [y + residual for y in estimates]
 
 
-def _check_measurements(measurements, mixture, config, d=None):
-    if not measurements:
-        raise ValueError("at least one measurement matrix is required")
-    shape = (config.n_bins, config.n_frames(len(mixture)))
-    for r in measurements:
-        if r.data.shape != shape:
-            raise ValueError(
-                "measurements shape %s does not match the analysis grid %s"
-                % (r.data.shape, shape)
-            )
-        if d is not None and r.d != d:
-            raise ValueError("measurements exponent %d, expected %d" % (r.d, d))
-    if len({r.d for r in measurements}) != 1:
-        raise ValueError("all measurements must share the same exponent d")
-
-
 def amplitude_mask_init(measurements, mixture, config):
     """Initial source estimates from the mixture phase.
 
@@ -204,11 +188,9 @@ def griffin_lim(measurements, init, iterations, config):
     Returns:
         Signal estimate, in a new array also with 0 iterations.
     """
-    if measurements.d != 1:
-        raise ValueError("griffin_lim requires magnitude measurements (d = 1)")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    _check_measurements([measurements], init, config)
+    _check_measurements([measurements], init, config, d=1)
     s = init.samples
     for _ in range(iterations):
         (s,) = _phase_synthesis([measurements], s, config)

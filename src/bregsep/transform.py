@@ -16,10 +16,10 @@ transformed as one contiguous row before the transpose.  Measurements are
 held in that layout too, copied into it once if they arrive in another, so
 the solvers' elementwise passes read every operand along its strides.
 
-The solvers (the objective's gradient included) and the providers stream
+The solvers, the objective and its gradient, and the providers stream
 signals through one kernel, 128 frames at a time, and build no full complex
-spectrogram; stft and istft, kept for the public API and the objective, are
-its whole-array case.  Results do not depend on the block size.
+spectrogram; stft and istft, kept for the public API, are its whole-array
+case.  Elementwise results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -193,6 +193,23 @@ class Measurements:
             raise ValueError("measurements must be nonnegative")
         if self.d not in (1, 2):
             raise ValueError("d must be 1 (magnitude) or 2 (power)")
+
+
+def _check_measurements(measurements, signal, config, d=None):
+    """Check a problem once: measurements on signal's analysis grid, each of
+    exponent d, or of the first one's exponent when d is None."""
+    if not measurements:
+        raise ValueError("at least one measurement matrix is required")
+    shape = (config.n_bins, config.n_frames(len(signal)))
+    d = measurements[0].d if d is None else d
+    for r in measurements:
+        if r.data.shape != shape:
+            raise ValueError(
+                "measurements shape %s does not match the analysis grid %s"
+                % (r.data.shape, shape)
+            )
+        if r.d != d:
+            raise ValueError("measurements exponent %d, expected %d" % (r.d, d))
 
 
 def symmetry_weights(config):

@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
 import os
+import platform
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -1042,3 +1043,25 @@ class TestDistinctSweepGroups:
         # (8 x 2 + 1) x 2 x 9 = 306 runs
         assert len(out.read_text().strip().split("\n")) == 1 + 324
         assert len(calls) == 306
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's malloc")
+def test_separate_reuses_its_heap(tmp_path, capsys):
+    # main holds glibc's malloc thresholds; under its defaults each PGD
+    # iteration faults its block arrays in afresh, thousands of pages a call
+    import resource
+
+    _write_tone(tmp_path / "tone.wav", 440.0, length=RATE)
+    _write_noise(tmp_path / "noise.wav", seed=8, length=RATE)
+    argv = [
+        "separate", "--speech", str(tmp_path / "tone.wav"),
+        "--noise", str(tmp_path / "noise.wav"), "--algo", "pgd",
+    ]
+    for _ in range(3):
+        assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        assert cli.main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert faults / 20 < 100

@@ -1,0 +1,74 @@
+"""Rules on where things live in the library, checked on its source files.
+
+- The floor that keeps the divergence defined at spectral zeros is one rule:
+  only divergence.py reads EPS_FLOOR, so the objective, its gradient and PGD
+  read it from one module.
+- One transform kernel: every FFT the library runs is transform.py's, so the
+  solvers, the objective and the providers stream through the same one.  No
+  other module uses the whole-array analysis either: stft, istft and
+  ComplexSpectrogram are kept for the public API, which __init__.py
+  re-exports.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bregsep"
+WHOLE_ARRAY = {"stft", "istft", "ComplexSpectrogram"}
+
+
+def _modules_matching(pattern):
+    """Names of the package's modules whose text matches the regex."""
+    return {
+        path.name for path in PACKAGE.glob("*.py") if re.search(pattern, path.read_text())
+    }
+
+
+def test_eps_floor_only_in_divergence():
+    assert _modules_matching(r"EPS_FLOOR") <= {"divergence.py"}
+
+
+def test_fft_only_in_transform():
+    assert _modules_matching(r"(np|numpy|scipy)[.]fft|import fft") <= {"transform.py"}
+
+
+def _whole_array_uses(path):
+    """(line, name) of each WHOLE_ARRAY name the module's code uses: as a
+    name, an attribute, an import or a definition; docstrings and other
+    strings do not count.  __init__.py's import from .transform is exempt."""
+    tree = ast.parse(path.read_text())
+    exempt = set()
+    if path.name == "__init__.py":
+        exempt = {
+            id(alias)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == "transform"
+            for alias in node.names
+        }
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.alias) and id(node) not in exempt:
+            names = {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = {node.name}
+        else:
+            continue
+        uses += [(getattr(node, "lineno", 0), name) for name in names & WHOLE_ARRAY]
+    return uses
+
+
+def test_whole_array_analysis_only_in_transform():
+    uses = {
+        path.name: _whole_array_uses(path)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "transform.py"
+    }
+    assert not {name: found for name, found in uses.items() if found}
+    # the check sees the names where they are defined
+    assert len(_whole_array_uses(PACKAGE / "transform.py")) >= len(WHOLE_ARRAY)

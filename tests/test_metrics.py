@@ -32,6 +32,14 @@ class TestSdr:
         est = Signal(ref.samples * (1.0 + 1e-14))
         assert sdr(ref, est) == SDR_CAP_DB
 
+    def test_distortion_above_the_cap_boundary_is_measured(self):
+        # the cap holds below 1e-12 relative distortion; at 1e-11 the SDR
+        # is measured, 20 log10(1e11) = 220 dB
+        rng = np.random.default_rng(SEED + 8)
+        ref = Signal(rng.standard_normal(1000))
+        est = Signal(ref.samples * (1.0 + 1e-11))
+        assert abs(sdr(ref, est) - 220.0) < 0.01
+
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             sdr(Signal(np.zeros(10)), Signal(np.ones(10)))

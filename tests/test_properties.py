@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bregsep import solvers, transform
-from bregsep.divergence import EPS_FLOOR, DivergenceSpec, grad_term
+from bregsep.divergence import EPS_FLOOR, DivergenceSpec, bregman, grad_term, objective
 from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
     SolverConfig,
@@ -597,3 +597,54 @@ def test_phase_synthesis_equals_complex_division(
     assert len(got) == count
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
+
+
+def _objective_whole_array(spec, measurements, signal, config):
+    """The objective written out on the whole-array stft: the floored
+    |S|^d against the floored measurements, one weighted Bregman sum."""
+    mag_d = np.maximum(np.abs(stft(signal, config).data), EPS_FLOOR) ** spec.d
+    target = np.maximum(measurements.data, EPS_FLOOR)
+    weights = symmetry_weights(config)[:, None]
+    if spec.direction == "right":
+        return bregman(spec.beta, target, mag_d, weights)
+    return bregman(spec.beta, mag_d, target, weights)
+
+
+# The objective streams through the transform kernel and sums block by
+# block: the whole-array sum to rounding, and to the last bit in one block.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300 * PGD_CONFIG.hop),
+    st.sampled_from((1, 7, 128)),
+    st.sampled_from((1, 2)),
+    st.sampled_from(("right", "left")),
+    # a subnormal beta overflows the generator's 1 / (beta (beta - 1)) in
+    # either sum, a fault of the generator and not of the blocks
+    st.one_of(
+        st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0, allow_subnormal=False)
+    ),
+    # bins at exact zero or under EPS_FLOOR, see _awkward_measurements
+    st.sampled_from((0.0, 0.1, 0.5)),
+)
+@example(0, 300 * PGD_CONFIG.hop, 128, 2, "left", 0.0, 0.5)
+@example(1, 100 * PGD_CONFIG.hop, 128, 1, "right", 1.5, 0.1)
+def test_streamed_objective_is_the_whole_array_sum(
+    seed, length, block, d, direction, beta, awkward
+):
+    rng = np.random.default_rng(seed)
+    # a silent stretch gives exact-zero signal bins
+    samples = rng.standard_normal(length)
+    start = rng.integers(0, length + 1)
+    samples[start : start + rng.integers(0, length + 1)] = 0.0
+    signal = Signal(samples)
+    magnitudes = _awkward_measurements(rng, length, 1, awkward)
+    measurements = Measurements(magnitudes.data**d, d)
+    spec = DivergenceSpec(beta, direction, d)
+    with mock.patch.object(transform, "_BLOCK_FRAMES", block):
+        got = objective(spec, measurements, signal, PGD_CONFIG)
+    want = _objective_whole_array(spec, measurements, signal, PGD_CONFIG)
+    if PGD_CONFIG.n_frames(length) <= block:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

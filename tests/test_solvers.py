@@ -167,6 +167,15 @@ class TestAmplitudeMaskInit:
         with pytest.raises(ValueError):
             amplitude_mask_init([bad], x, CFG)
 
+    def test_mixed_exponents_rejected(self):
+        # with no exponent asked for, every measurement must have the first one's
+        rng = np.random.default_rng(SEED + 41)
+        x = Signal(rng.standard_normal(2000))
+        magnitude, power = _random_measurements(rng, 2000, 2)
+        power = Measurements(power.data**2, 2)
+        with pytest.raises(ValueError, match="exponent 2, expected 1"):
+            amplitude_mask_init([magnitude, power], x, CFG)
+
 
 class TestGriffinLim:
     def test_requires_magnitude_measurements(self):
@@ -506,6 +515,21 @@ class TestProjectedGradient:
             res = projected_gradient(zero, x, SolverConfig(spec, 1.0, 3), CFG)
             assert all(not np.any(s.samples) for s in res.sources)
 
+    def test_energy_bound_checks_the_last_source(self):
+        # three sources, only the last past the bound: the start [a, a, x - 2a]
+        # with a = -x is on the mixing set, and step 0 keeps it
+        rng = np.random.default_rng(SEED + 42)
+        sources = [Signal(rng.standard_normal(2000)) for _ in range(3)]
+        x = Signal(sum(s.samples for s in sources))
+        meas = [Measurements(np.abs(stft(s, CFG).data), 1) for s in sources]
+        init = [Signal(-x.samples), Signal(-x.samples), Signal(3.0 * x.samples)]
+        spec = DivergenceSpec(1.0, "right", 1)
+        norm = np.linalg.norm(x.samples)
+        assert norm < pgd_start(meas, x, spec, CFG).bound < 3.0 * norm
+        with pytest.raises(SolverDivergedError) as err:
+            projected_gradient(meas, x, SolverConfig(spec, 0.0, 1), CFG, init=init)
+        assert (err.value.iteration, err.value.reason) == (0, "energy bound")
+
 
 class TestLongClipMemory:
     """Peak traced memory on a 10 s, two-source problem, in units of one
@@ -546,6 +570,16 @@ class TestLongClipMemory:
             lambda: projected_gradient(meas, x, cfg, config), meas
         )
         assert peak <= 4
+
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_objective_within_one_and_a_half_spectrograms(self, d, direction):
+        config, x, meas = self._problem(d)
+        spec = DivergenceSpec(1.5, direction, d)
+        peak = self._peak_in_spectrograms(
+            lambda: objective(spec, meas[0], x, config), meas
+        )
+        assert peak <= 1.5
 
 
 class TestPgdStart:
