@@ -39,7 +39,6 @@ from .transform import (
     Signal,
     StftConfig,
     istft,
-    magnitude_power,
     make_window,
     normalization_constant,
     stft,
@@ -70,7 +69,6 @@ __all__ = [
     "griffin_lim",
     "istft",
     "load_wav",
-    "magnitude_power",
     "make_window",
     "misi",
     "mix_at_snr",

@@ -133,7 +133,7 @@ _CONVERTERS = {
     "out_noise": str,
     "provider": _choice(("oracle", "noisy_oracle")),
     "ref": str,
-    "seed": int,
+    "seed": _nonnegative(int),
     "sigma": float,
     "snr": float,
     "speech": str,
@@ -465,6 +465,8 @@ def _read_manifest(path):
                 raise ValueError("manifest line %d: bad snr_db or seed" % line_no)
             if not np.isfinite(snr_db):
                 raise ValueError("manifest line %d: snr_db must be finite" % line_no)
+            if seed < 0:
+                raise ValueError("manifest line %d: seed must be >= 0" % line_no)
             rows.append({
                 "mixture_id": mixture_id,
                 "speech": _resolve_manifest_path(record["speech"], base),

@@ -7,6 +7,9 @@ whose second derivative is x**(beta - 2) for every member:
     beta == 1:           x log x - x          (Kullback-Leibler)
     beta == 0:           -log x               (Itakura-Saito)
 
+Every function here that takes a beta evaluates one within BETA_LIMIT_TOL
+of 0 or 1 as that limit.
+
 The divergence of r from z is the generator's Bregman remainder summed over
 entries.  "right" places the model |As|^d in the second slot, "left" in the
 first.
@@ -31,12 +34,27 @@ DIRECTION_LEFT = "left"
 # gradient evaluation, so beta <= 1 stays defined at spectral zeros.
 EPS_FLOOR = 1e-12
 
+# A beta this close to 0 or 1 is evaluated as that limit: the generator's
+# 1 / (beta (beta - 1)) cancels there, and about sqrt(eps) is where the
+# limit's O(beta) error and the rounding's O(eps / beta) meet.
+BETA_LIMIT_TOL = 1e-8
+
+
+def _limit_beta(beta):
+    """beta as a float, or the limit 0 or 1 within BETA_LIMIT_TOL of it."""
+    beta = float(beta)
+    for limit in (0.0, 1.0):
+        if abs(beta - limit) <= BETA_LIMIT_TOL:
+            return limit
+    return beta
+
 
 @dataclass(frozen=True)
 class DivergenceSpec:
     """Divergence choice: beta in [0, 2], fit direction, exponent d.
 
-    Immutable and compared by value; beta is held as a float.
+    Immutable and compared by value; beta is held as a float, as 0 or 1
+    when it is within BETA_LIMIT_TOL of one.
     """
 
     beta: float
@@ -44,9 +62,9 @@ class DivergenceSpec:
     d: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        if not 0.0 <= self.beta <= 2.0:
+        if not 0.0 <= float(self.beta) <= 2.0:
             raise ValueError("beta must lie in [0, 2]")
+        object.__setattr__(self, "beta", _limit_beta(self.beta))
         if self.direction not in (DIRECTION_RIGHT, DIRECTION_LEFT):
             raise ValueError("direction must be 'right' or 'left'")
         if self.d not in (1, 2):
@@ -64,7 +82,11 @@ def _checked(beta, x):
 
 def generator(beta, x):
     """Generating function of the beta-divergence, evaluated entrywise."""
-    x = _checked(beta, x)
+    beta = _limit_beta(beta)
+    return _generator(beta, _checked(beta, x))
+
+
+def _generator(beta, x):
     if beta == 0:
         return -np.log(x)
     if beta == 1:
@@ -74,6 +96,7 @@ def generator(beta, x):
 
 def generator_prime(beta, x):
     """First derivative of :func:`generator`."""
+    beta = _limit_beta(beta)
     return _generator_prime(beta, _checked(beta, x))
 
 
@@ -87,6 +110,7 @@ def _generator_prime(beta, x):
 
 def generator_second(beta, x):
     """Second derivative of :func:`generator`, x**(beta - 2) for all beta."""
+    beta = _limit_beta(beta)
     x = _checked(beta, x)
     return x ** (beta - 2.0)
 
@@ -111,7 +135,13 @@ def bregman(beta, r, z, weights=None):
         return 0.0
     if z.min() <= 0:
         raise ValueError("z must be strictly positive")
-    cell = generator(beta, r) - generator(beta, z) - generator_prime(beta, z) * (r - z)
+    beta = _limit_beta(beta)
+    return _bregman(beta, _checked(beta, r), z, weights)
+
+
+def _bregman(beta, r, z, weights):
+    """:func:`bregman` on checked float64 arrays r and z > 0, beta as limited."""
+    cell = _generator(beta, r) - _generator(beta, z) - _generator_prime(beta, z) * (r - z)
     if weights is not None:
         cell = cell * weights
     return float(np.sum(cell))
@@ -210,9 +240,10 @@ def objective(spec, measurements, signal, config):
     this makes :func:`bregsep.solvers.objective_gradient` the exact gradient
     of this function.
 
-    The signal streams through the transform kernel, each block of frames
-    adding its :func:`bregman` sum.  Beyond one block (128 frames) the last
-    bits depend on how the sum is split into blocks.
+    The problem is checked once; the signal then streams through the
+    transform kernel, each block of frames adding its unchecked Bregman sum.
+    Beyond one block (128 frames) the last bits depend on how the sum is
+    split into blocks.
 
     Args:
         spec: DivergenceSpec; spec.d must match measurements.d.
@@ -231,7 +262,7 @@ def objective(spec, measurements, signal, config):
         mag_d = _model_power(spectra[0], spec.d)
         target = np.maximum(measurements.data[:, frames], EPS_FLOOR)
         r, z = (target, mag_d) if spec.direction == DIRECTION_RIGHT else (mag_d, target)
-        sums.append(bregman(spec.beta, r, z, weights=weights))
+        sums.append(_bregman(spec.beta, r, z, weights))
         return []
 
     _stream([signal.samples], config, add)

@@ -122,11 +122,6 @@ def provide_spectrograms(sources, provider, d, config):
 
         _stream([source.samples], config, measure)
         if provider.mode == PROVIDER_NOISY_ORACLE:
-            # in the spectrum's layout; the noise buffer becomes the result,
-            # as the product's did, since which large buffer survives moves
-            # the peak resident memory of long runs
-            noisy = np.exp(provider.sigma * rng.standard_normal(mag.shape), order="F")
-            noisy *= mag
-            mag = noisy
+            mag *= np.exp(provider.sigma * rng.standard_normal(mag.shape), order="F")
         out.append(Measurements(mag if d == 1 else mag**2, d))
     return out

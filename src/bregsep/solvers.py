@@ -16,9 +16,8 @@ amplitude masking, Griffin-Lim, MISI and :func:`objective_gradient`: no
 solver holds a full complex spectrogram.  The integrand, floor included, is
 the divergence module's, which evaluates the objective by the same rule.
 Every PGD run starts from a :class:`PgdStart`, which computes the first
-iteration up to the step size on first use.  Runs that differ only
-in step size share one read-only (``projected_gradient(..., start=...)``);
-a run without one builds its own and scales it in place.
+iteration up to the step size on first use, and only reads it: runs that
+differ only in step size can share one (``projected_gradient(..., start=...)``).
 A PGD run stops with :class:`SolverDivergedError` at the first iterate
 that is non-finite or past an energy bound (see :func:`projected_gradient`).
 MISI keeps its own Griffin-Lim step and shares only the transform kernel:
@@ -323,7 +322,7 @@ class PgdStart:
     measurements, mixture, spec and config record the problem the start was
     built for.  sources: the start's sample arrays; targets: the prepared
     targets, one per source; bound: the energy bound of :func:`_energy_bound`.
-    Runs that share a start only read it.
+    Runs only read a start.
     """
 
     measurements: tuple
@@ -348,8 +347,8 @@ def pgd_start(measurements, mixture, spec, stft_config, init=None):
     projection onto the mixing set; direction_c depends on the start, the
     measurements and spec but not on the step.  The start computes it when
     the first run reads it, so building one runs no transform beyond amplitude
-    masking.  Runs that differ only in step size can share one start through
-    projected_gradient(start=...), which leaves it as built.  The start also
+    masking.  Runs only read a start, so runs that differ only in step size
+    can share one through projected_gradient(start=...).  The start also
     holds the runs' energy bound.
 
     Args:
@@ -407,9 +406,9 @@ def projected_gradient(
 
     Every run starts from a :class:`PgdStart`: start, or one built here with
     :func:`pgd_start` from init, which computes the step-independent first
-    istft(I_c - mean_c I) on first use.  A start built here is scaled in
-    place; a start passed in is only read, so runs that differ in step size
-    alone give the same results from one start as from their own.
+    istft(I_c - mean_c I) on first use.  The run only reads its start, and
+    drops it after that first read, so a start built here is freed as the
+    run moves past it.
 
     The run stops at the first iterate that is non-finite or has blown up:
     max_c ||s_c|| > ENERGY_BOUND_FACTOR * max(||x||, max_c E_c), where
@@ -437,8 +436,7 @@ def projected_gradient(
             "non-finite" or "energy bound".
     """
     spec = solver_config.spec
-    shared = start is not None
-    if shared:
+    if start is not None:
         _check_start(start, measurements, mixture, spec, stft_config, init)
     else:
         start = pgd_start(measurements, mixture, spec, stft_config, init)
@@ -448,22 +446,19 @@ def projected_gradient(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if t == 0:
                 directions = start.direction
-                # a start built here is freed array by array as the run moves past it
+                # a start built here is dropped after this first read
                 start = None
                 # the start is off the mixing set; later iterates stay on it
                 current = _project(current, mixture.samples)
             else:
                 directions = _zero_mean_updates(current, targets, spec, stft_config)
-            if t == 0 and shared:
-                # a shared start is only read
-                updates = [direction * scale for direction in directions]
-            else:
-                updates = directions
-                for update in updates:
-                    update *= scale
-            for s, update in zip(current, updates):
+            for s, direction in zip(current, directions):
+                update = direction * scale
                 s -= update
                 current[-1] += update
+            # held into the next iteration's transforms, the last move would
+            # add a signal's size to the peak memory of long runs
+            del update
             # before any Signal is built: Signal rejects non-finite samples.
             # A NaN or infinite norm fails the test too.
             if not all(_norm(s) <= bound for s in current):

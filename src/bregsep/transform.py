@@ -347,13 +347,3 @@ def istft(spectrogram, target_length):
     buf = _buffer(spectrogram.data.shape[1], config)
     _overlap_add(spectrogram.data, config, buf, 0)
     return Signal(_trimmed(buf, config, target_length), spectrogram.sample_rate)
-
-
-def magnitude_power(spectrogram, d):
-    """Entrywise |.|^d of a spectrogram, as Measurements with exponent d."""
-    if d not in (1, 2):
-        raise ValueError("d must be 1 or 2")
-    mag = np.abs(spectrogram.data)
-    if d == 2:
-        mag = mag**2
-    return Measurements(mag, d)

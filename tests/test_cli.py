@@ -264,6 +264,19 @@ class TestSeparate:
         assert captured.out == ""
         assert "--iterations" in captured.err
 
+    @pytest.mark.parametrize("command", ["separate", "mix"])
+    def test_negative_seed_flag_rejected(self, wavs, capsys, command):
+        argv = [command, "--speech", wavs["speech"], "--noise", wavs["noise"],
+                "--seed", "-1"]
+        if command == "mix":
+            argv += ["--out", str(wavs["dir"] / "mix.wav")]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err and ">= 0" in captured.err
+
     @pytest.mark.parametrize("mixture_id", ["a,b", "a\nb", "a\rb", 'a"b', '"a'])
     def test_mixture_id_that_breaks_csv_rejected(self, wavs, capsys, mixture_id):
         out = wavs["dir"] / "row.csv"
@@ -366,6 +379,18 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ">= 0" in captured.err
+
+    def test_negative_seed_in_config_rejected(self, wavs, capsys):
+        cfg = wavs["dir"] / "run.cfg"
+        cfg.write_text("[common]\nseed = -1\n")
+        code = cli.main([
+            "separate", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--algo", "amplitude_mask", "--config", str(cfg),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config key 'seed'" in captured.err and ">= 0" in captured.err
 
     def test_missing_config_rejected(self, wavs, capsys):
         code = cli.main([
@@ -692,6 +717,31 @@ class TestSweep:
         assert code == 2
         assert "manifest line 3: snr_db must be finite" in captured.err
         assert captured.out == ""
+
+    def test_negative_manifest_seed_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        calls = []
+        monkeypatch.setattr(
+            cli, "projected_gradient", lambda *args, **kwargs: calls.append(args)
+        )
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("good", "tone.wav", "noise.wav", 0.0, 1, "validation"),
+            ("bad", "tone.wav", "noise.wav", 0.0, -2, "validation"),
+        ])
+        code = cli.main([
+            "sweep", "--manifest", str(manifest),
+            "--csv", str(tmp_path / "none.csv"),
+            "--betas", "1,2", "--step-sizes", "0.1,1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "manifest line 3: seed must be >= 0" in captured.err
+        assert captured.out == "" and not calls
 
     def test_nonpositive_step_rejected(self, sweep_setup, capsys):
         code, _ = _sweep(sweep_setup, "zero.csv", ["--step-sizes", "0,1"])

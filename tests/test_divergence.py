@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bregsep import divergence
 from bregsep.divergence import (
     DivergenceSpec,
     bregman,
@@ -124,6 +126,38 @@ class TestBregman:
         assert bregman(2, r, z, weights=w) == pytest.approx(1.5 * bregman(2, r, z))
 
 
+class TestBetaNearLimits:
+    """A beta within rounding of 0 or 1 reads that limit's closed form."""
+
+    R = np.array([1.0, 3.0])
+    Z = np.array([2.0, 0.5])
+
+    @pytest.mark.parametrize("beta, limit", [
+        (5e-324, 0.0), (1e-300, 0.0), (1e-20, 0.0), (1e-12, 0.0),
+        (1.0 - 1e-16, 1.0), (1.0 + 1e-16, 1.0),
+        (1.0 - 1e-12, 1.0), (1.0 + 1e-12, 1.0),
+    ])
+    def test_within_rounding_reads_the_limit(self, beta, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bregman(beta, self.R, self.Z)
+            left = grad_term(DivergenceSpec(beta, "left"), self.R, self.Z)
+            prime = generator_prime(beta, self.Z)
+        assert got >= 0.0
+        assert abs(got - _direct_divergence(limit, self.R, self.Z)) <= 1e-7
+        # the left direction's integrand: g'(z) - g'(r)
+        want = generator_prime(limit, self.Z) - generator_prime(limit, self.R)
+        assert np.max(np.abs(left - want)) <= 1e-7
+        assert np.max(np.abs(prime - generator_prime(limit, self.Z))) <= 1e-7
+
+    @pytest.mark.parametrize("beta, limit", [
+        (2e-8, 0.0), (1.0 - 2e-8, 1.0), (1.0 + 2e-8, 1.0),
+    ])
+    def test_just_outside_the_tolerance_is_near_the_limit(self, beta, limit):
+        got = bregman(beta, self.R, self.Z)
+        assert abs(got - _direct_divergence(limit, self.R, self.Z)) <= 1e-6
+
+
 class TestGradTerm:
     def test_left_frozen_value(self):
         spec = DivergenceSpec(1.0, "left", 1)
@@ -207,6 +241,29 @@ class TestObjective:
         cfg, signal, meas = self._instance(1)
         with pytest.raises(ValueError):
             objective(DivergenceSpec(1.0, "right", 2), meas, signal, cfg)
+
+    def test_input_checks_do_not_grow_with_the_blocks(self, monkeypatch):
+        # the problem is checked once, before the blocks
+        cfg = StftConfig(64, 16)
+        rng = np.random.default_rng(SEED + 11)
+        calls = []
+        checked = divergence._checked
+
+        def counted(beta, x):
+            calls.append(beta)
+            return checked(beta, x)
+
+        monkeypatch.setattr(divergence, "_checked", counted)
+        counts = []
+        for blocks in (1, 5, 15):
+            # a signal of 16 n - 63 samples has n frames on this grid
+            signal = Signal(rng.standard_normal(16 * 128 * blocks - 63))
+            assert cfg.n_frames(len(signal)) == 128 * blocks
+            meas = Measurements(np.abs(stft(signal, cfg).data) + 0.1, 1)
+            calls.clear()
+            objective(DivergenceSpec(1.5, "left", 1), meas, signal, cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestSpecValidation:

@@ -8,6 +8,11 @@
   other module uses the whole-array analysis either: stft, istft and
   ComplexSpectrogram are kept for the public API, which __init__.py
   re-exports.
+- No BLAS norm where the sweep's forked workers run: OpenBLAS threads
+  spinning in every worker slowed a default-grid sweep about threefold, so
+  the workers' norms are metrics._norm.  np.linalg.norm stays only on the
+  main process's mixing paths in mixing.py and cli.py, which keep mixtures
+  bit-identical.
 """
 
 import ast
@@ -72,3 +77,25 @@ def test_whole_array_analysis_only_in_transform():
     assert not {name: found for name, found in uses.items() if found}
     # the check sees the names where they are defined
     assert len(_whole_array_uses(PACKAGE / "transform.py")) >= len(WHOLE_ARRAY)
+
+
+def _linalg_norm_uses(path):
+    """Lines of the module's code that use a linalg norm: an attribute
+    x.linalg.norm or an import from a linalg module; strings do not count."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+        ) or (
+            isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        ):
+            uses.append(node.lineno)
+    return uses
+
+
+def test_blas_norm_only_on_the_mixing_paths():
+    users = {path.name for path in PACKAGE.glob("*.py") if _linalg_norm_uses(path)}
+    assert users <= {"mixing.py", "cli.py"}
+    # the check sees the calls the mixing paths keep
+    assert "mixing.py" in users

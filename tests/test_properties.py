@@ -28,7 +28,6 @@ from bregsep.transform import (
     Signal,
     StftConfig,
     istft,
-    magnitude_power,
     normalization_constant,
     stft,
     symmetry_weights,
@@ -176,7 +175,9 @@ def test_pgd_matches_step_then_project(
     rng = np.random.default_rng(seed)
     mixture = rng.standard_normal(length)
     measurements = [
-        magnitude_power(stft(Signal(rng.standard_normal(length)), PGD_CONFIG), d)
+        Measurements(
+            np.abs(stft(Signal(rng.standard_normal(length)), PGD_CONFIG).data) ** d, d
+        )
         for _ in range(count)
     ]
     # independent of the mixture, so off the mixing set
@@ -216,7 +217,9 @@ def test_pgd_stays_at_an_exact_three_source_fit(seed, length, beta, direction, d
     rng = np.random.default_rng(seed)
     sources = [Signal(rng.standard_normal(length)) for _ in range(3)]
     mixture = Signal(np.sum([s.samples for s in sources], axis=0))
-    measurements = [magnitude_power(stft(s, PGD_CONFIG), d) for s in sources]
+    measurements = [
+        Measurements(np.abs(stft(s, PGD_CONFIG).data) ** d, d) for s in sources
+    ]
     solver = SolverConfig(DivergenceSpec(beta, direction, d), step, 4)
     out = projected_gradient(measurements, mixture, solver, PGD_CONFIG, init=sources)
     for got, want in zip(out.sources, sources):
@@ -233,7 +236,9 @@ def test_pgd_stays_at_an_exact_three_source_fit_with_bins_under_the_floor():
     rng = np.random.default_rng(3029)
     sources = [Signal(rng.standard_normal(146)) for _ in range(3)]
     mixture = Signal(np.sum([s.samples for s in sources], axis=0))
-    measurements = [magnitude_power(stft(s, PGD_CONFIG), 2) for s in sources]
+    measurements = [
+        Measurements(np.abs(stft(s, PGD_CONFIG).data) ** 2, 2) for s in sources
+    ]
     for direction in ("right", "left"):
         solver = SolverConfig(DivergenceSpec(0.0, direction, 2), 1e-4, 4)
         out = projected_gradient(measurements, mixture, solver, PGD_CONFIG, init=sources)
@@ -301,7 +306,9 @@ def test_shared_start_equals_own_start(
     rng = np.random.default_rng(seed)
     mixture = Signal(rng.standard_normal(length))
     measurements = [
-        magnitude_power(stft(Signal(rng.standard_normal(length)), PGD_CONFIG), d)
+        Measurements(
+            np.abs(stft(Signal(rng.standard_normal(length)), PGD_CONFIG).data) ** d, d
+        )
         for _ in range(count)
     ]
     init = None
@@ -619,11 +626,7 @@ def _objective_whole_array(spec, measurements, signal, config):
     st.sampled_from((1, 7, 128)),
     st.sampled_from((1, 2)),
     st.sampled_from(("right", "left")),
-    # a subnormal beta overflows the generator's 1 / (beta (beta - 1)) in
-    # either sum, a fault of the generator and not of the blocks
-    st.one_of(
-        st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0, allow_subnormal=False)
-    ),
+    st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 2.0)),
     # bins at exact zero or under EPS_FLOOR, see _awkward_measurements
     st.sampled_from((0.0, 0.1, 0.5)),
 )

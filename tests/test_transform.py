@@ -12,7 +12,6 @@ from bregsep.transform import (
     Signal,
     StftConfig,
     istft,
-    magnitude_power,
     make_window,
     normalization_constant,
     stft,
@@ -289,24 +288,6 @@ class TestFrameLoopReference:
             for target in (length, max(1, length - 3), length + 2 * config.hop + 1):
                 got = istft(ComplexSpectrogram(data, config), target).samples
                 assert np.array_equal(got, _loop_istft(data, config, target))
-
-
-class TestMagnitudePower:
-    def test_values(self):
-        cfg = StftConfig(8, 2)
-        data = np.full((5, 3), 3.0 - 4.0j)
-        spec = ComplexSpectrogram(data, cfg)
-        m1 = magnitude_power(spec, 1)
-        m2 = magnitude_power(spec, 2)
-        assert np.allclose(m1.data, 5.0)
-        assert np.allclose(m2.data, 25.0)
-        assert m1.d == 1 and m2.d == 2
-
-    def test_bad_exponent(self):
-        cfg = StftConfig(8, 2)
-        spec = ComplexSpectrogram(np.zeros((5, 3), dtype=complex), cfg)
-        with pytest.raises(ValueError):
-            magnitude_power(spec, 3)
 
 
 class TestTypes:
