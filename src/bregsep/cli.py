@@ -208,7 +208,10 @@ def _flag_type(dest):
     return flag_type
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every option's default is None."""
     parser = argparse.ArgumentParser(
         prog="bregsep",
         description="mixture building, phase-aware source separation, "

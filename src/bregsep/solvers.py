@@ -95,9 +95,11 @@ def _phase_synthesis(measurements, x, config):
     """istft(r^(1/d) * X / |X|) for each measurement r, X the stft of x.
 
     X's unit phase is computed once per block, in place of X, as X times
-    1/|X|; bins whose |X| is not positive get unit factor 1 (phase 0).  The
-    last measurement's product is formed in place of the phase, so a single
-    measurement (Griffin-Lim, MISI) allocates no product array.
+    1/|X|; bins whose |X| is zero get unit factor 1 (phase 0), set before
+    the reciprocal as X = |X| = 1, so a block without such a bin is never
+    masked.  The last measurement's product is formed in place of the
+    phase, so a single measurement (Griffin-Lim, MISI) allocates no product
+    array.
 
     The values equal those of np.divide(X, |X|) followed by r^(1/d) * phase,
     bit for bit up to the sign of a zero part: numpy divides by |X| + 0i as
@@ -108,10 +110,11 @@ def _phase_synthesis(measurements, x, config):
     def synthesise(frames, spectra):
         (phase,) = spectra
         inverse = np.abs(phase)
-        positive = inverse > 0
-        np.divide(1.0, inverse, out=inverse, where=positive)
+        if not inverse.all():
+            zero = inverse == 0
+            inverse[zero] = phase[zero] = 1.0
+        np.divide(1.0, inverse, out=inverse)
         phase *= inverse
-        phase[~positive] = 1.0
 
         def amplitude(r):
             return r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])

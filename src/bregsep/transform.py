@@ -236,11 +236,17 @@ def _buffer(n_frames, config):
 
 
 def _frames(x, config):
-    """(n_frames, win_length) view of the zero-extended copy of x."""
-    padded = _buffer(config.n_frames(x.size), config)
+    """Read-only (n_frames, win_length) view of the zero-extended copy of x."""
+    n_frames = config.n_frames(x.size)
+    padded = _buffer(n_frames, config)
     padded[config.head_pad : config.head_pad + x.size] = x
-    frames = np.lib.stride_tricks.sliding_window_view(padded, config.win_length)
-    return frames[:: config.hop]
+    (step,) = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(n_frames, config.win_length),
+        strides=(config.hop * step, step),
+        writeable=False,
+    )
 
 
 def _analyse(frames, config):
@@ -265,12 +271,13 @@ def _overlap_add(spectra, config, buf, first):
 
 
 def _trimmed(buf, config, target_length):
-    """The synthesis buffer without its head padding, divided by b."""
-    out = np.zeros(target_length)
-    avail = min(target_length, buf.size - config.head_pad)
-    if avail > 0:
-        np.divide(buf[config.head_pad : config.head_pad + avail], config.b,
-                  out=out[:avail])
+    """The synthesis buffer's first target_length samples after its head
+    padding, divided by b in place: a view of buf, zero-padded into a new
+    array only where buf ends first."""
+    out = buf[config.head_pad : config.head_pad + target_length]
+    out /= config.b
+    if out.size < target_length:
+        out = np.pad(out, (0, target_length - out.size))
     return out
 
 

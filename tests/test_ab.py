@@ -93,7 +93,8 @@ def test_pairs_alternate_and_the_report_sums_them(tmp_path, monkeypatch):
         cost = {"parent": 3.0, "change": 2.0}[side] + seed / 100.0
         return {"correct": True, "attempted": 10, "failed": int(side == "parent"),
                 "metrics": {"op_cost_ref": {"value": cost, "unit": "ref"},
-                            "sdri_db": {"value": 1.5, "unit": "dB"}}}
+                            "sdri_db": {"value": 1.5, "unit": "dB"}},
+                "clock": {"reference_s": 0.01, "call_s": 0.01 * cost}}
 
     monkeypatch.setattr(ab, "run_bench", fake_run)
     out = tmp_path / "BENCH.json"
@@ -125,15 +126,26 @@ def test_pairs_alternate_and_the_report_sums_them(tmp_path, monkeypatch):
         assert [pair["first"] for pair in summary["runs"]] == [
             "parent", "change", "parent"]
         assert summary["exited_nonzero"] == {"parent": 0, "change": 0}
+        clock = summary["clock"]
+        assert clock["reference_s"]["change_minus_parent"] == 0.0
+        assert clock["call_s"]["parent"]["median"] == pytest.approx(0.0302)
+        assert clock["call_s"]["change"]["median"] == pytest.approx(0.0202)
 
 
-# a stand-in for bench/run.py: prints a report line, or exits 3 at seed 2
+# a stand-in for bench/run.py: writes a report whose reference and call
+# times scale with COST, and prints a report line; or exits 3 at seed 2
 _FAKE_BENCH = """
-import json, sys
+import json, pathlib, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 assert args["--seconds"] == "20" and args["--trace"] == "0"
 if args["--seed"] == "2" and EXIT_AT_SEED_2:
     sys.exit(3)
+out = pathlib.Path(".bench_out")
+out.mkdir(exist_ok=True)
+(out / ("report-%s-seed%s-trace0.json" % (args["--workload"], args["--seed"]))
+ ).write_text(json.dumps({
+    "reference_s": [0.01 * COST, 0.02 * COST, 0.04 * COST],
+    "call_latencies_s": [[0, False, 0.1 * COST, COST], [1, False, 0.5, 7.0]]}))
 print("a line before the report")
 print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
     "op_cost_ref": {"value": COST, "unit": "ref"},
@@ -141,7 +153,7 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
 """
 
 
-def test_a_run_that_exits_nonzero_is_kept_and_the_rest_still_summed(tmp_path):
+def test_a_run_that_exits_nonzero_is_kept_and_the_rest_still_summed(tmp_path, capsys):
     parent = _checkout(tmp_path / "par", _FAKE_BENCH.replace(
         "EXIT_AT_SEED_2", "False").replace("COST", "3.0"))
     change = _checkout(tmp_path / "new", _FAKE_BENCH.replace(
@@ -162,6 +174,18 @@ def test_a_run_that_exits_nonzero_is_kept_and_the_rest_still_summed(tmp_path):
     cost = summary["metrics"]["op_cost_ref"]
     assert cost["pairs"] == 2 and cost["change_wins"] == 2
     assert cost["parent"]["median"] == 3.0 and cost["change"]["median"] == 2.0
+    # each run's clock is read from the report it wrote
+    assert summary["runs"][0]["parent"]["clock"] == pytest.approx(
+        {"reference_s": 0.06, "call_s": 0.4})
+    assert summary["runs"][2]["change"]["clock"] == pytest.approx(
+        {"reference_s": 0.04, "call_s": 0.35})
+    clock = summary["clock"]
+    assert clock["reference_s"]["pairs"] == 2
+    assert clock["reference_s"]["parent"]["median"] == pytest.approx(0.06)
+    assert clock["reference_s"]["change"]["median"] == pytest.approx(0.04)
+    assert clock["call_s"]["change_wins"] == 2
+    err = capsys.readouterr().err
+    assert '"reference_s": 0.06' in err and '"call_s": 0.35' in err
 
 
 def test_a_workload_with_no_finished_pair_has_no_summary(tmp_path, monkeypatch):
@@ -174,5 +198,5 @@ def test_a_workload_with_no_finished_pair_has_no_summary(tmp_path, monkeypatch):
         "--seeds", "1", "--out", str(out),
     ]) == 1
     summary = json.loads(out.read_text())["workloads"]["a"]
-    assert summary["metrics"] == {}
+    assert summary["metrics"] == {} and summary["clock"] == {}
     assert summary["exited_nonzero"] == {"parent": 1, "change": 1}

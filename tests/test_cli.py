@@ -277,6 +277,20 @@ class TestSeparate:
         assert captured.out == ""
         assert "--seed" in captured.err and ">= 0" in captured.err
 
+    def test_repeated_calls_share_one_parser_and_keep_no_options(self, wavs, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        argv = ["--speech", wavs["speech"], "--noise", wavs["noise"],
+                "--iterations", "1"]
+        assert _separate(argv + ["--beta", "1.5"]) == 0
+        assert _row_fields(capsys.readouterr().out)["beta"] == "1.500000"
+        assert _separate(argv) == 0
+        assert _row_fields(capsys.readouterr().out)["beta"] == "2.000000"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                _separate(argv + ["--no-such-option", "1"])
+            assert err.value.code == 2
+            assert "--no-such-option" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mixture_id", ["a,b", "a\nb", "a\rb", 'a"b', '"a'])
     def test_mixture_id_that_breaks_csv_rejected(self, wavs, capsys, mixture_id):
         out = wavs["dir"] / "row.csv"

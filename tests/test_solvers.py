@@ -177,6 +177,57 @@ class TestAmplitudeMaskInit:
             amplitude_mask_init([magnitude, power], x, CFG)
 
 
+def _masked_products(measurements, spectra, frames):
+    # the phase step with a mask on every block: r^(1/d) * X / |X|, phase 1
+    # where |X| is zero
+    phase = spectra.copy()
+    inverse = np.abs(phase)
+    positive = inverse > 0
+    np.divide(1.0, inverse, out=inverse, where=positive)
+    phase *= inverse
+    phase[~positive] = 1.0
+    return [(r.data[:, frames] if r.d == 1 else np.sqrt(r.data[:, frames])) * phase
+            for r in measurements]
+
+
+class TestPhaseSynthesis:
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    @pytest.mark.parametrize("d, count", [(1, 1), (1, 2), (2, 3)])
+    def test_equals_the_masked_phase_step(self, monkeypatch, zeros, d, count):
+        rng = np.random.default_rng(SEED + count)
+        length = 300 * CFG.hop
+        x = rng.standard_normal(length)
+        if zeros == "some":
+            # silent frames in the first block only
+            x[: 40 * CFG.hop] = 0.0
+        elif zeros == "all":
+            x[:] = 0.0
+        measurements = _random_measurements(rng, length, count, d)
+        blocks = []
+        stream = solvers._stream
+
+        def recording_stream(signals, config, consume, n_out):
+            def recording_consume(frames, spectra):
+                products = consume(frames, spectra)
+                blocks.append((frames, [p.copy() for p in products]))
+                return products
+
+            return stream(signals, config, recording_consume, n_out)
+
+        monkeypatch.setattr(solvers, "_stream", recording_stream)
+        solvers._phase_synthesis(measurements, x, CFG)
+        spectra = stft(Signal(x), CFG).data
+        has_zero = [not np.abs(spectra[:, frames]).all() for frames, _ in blocks]
+        assert has_zero == {"none": [False] * 3, "some": [True, False, False],
+                            "all": [True] * 3}[zeros]
+        for frames, products in blocks:
+            want = _masked_products(measurements, spectra[:, frames], frames)
+            assert len(products) == len(want)
+            for got, ref in zip(products, want):
+                assert np.array_equal(got.real, ref.real)
+                assert np.array_equal(got.imag, ref.imag)
+
+
 class TestGriffinLim:
     def test_requires_magnitude_measurements(self):
         rng = np.random.default_rng(SEED + 6)

@@ -11,6 +11,8 @@ from bregsep.transform import (
     NotColaError,
     Signal,
     StftConfig,
+    _frames,
+    _stream,
     istft,
     make_window,
     normalization_constant,
@@ -288,6 +290,43 @@ class TestFrameLoopReference:
             for target in (length, max(1, length - 3), length + 2 * config.hop + 1):
                 got = istft(ComplexSpectrogram(data, config), target).samples
                 assert np.array_equal(got, _loop_istft(data, config, target))
+
+
+# COLA grids of the periodic Hann window, with random signal lengths
+KERNEL_CONFIGS = [StftConfig(6, 2), StftConfig(24, 8), StftConfig(32, 8),
+                  StftConfig(64, 16), StftConfig(1024, 256)]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_frames_equal_a_sliding_window(self, config):
+        rng = np.random.default_rng(SEED + config.win_length)
+        for length in rng.integers(1, 6 * config.win_length, 8):
+            x = rng.standard_normal(length)
+            n_frames = config.n_frames(length)
+            padded = np.zeros((n_frames - 1) * config.hop + config.win_length)
+            padded[config.head_pad : config.head_pad + length] = x
+            view = np.lib.stride_tricks.sliding_window_view(padded, config.win_length)
+            frames = _frames(x, config)
+            assert np.array_equal(frames, view[:: config.hop])
+            assert not frames.flags.writeable
+
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_stream_outputs_are_new_writeable_arrays(self, config):
+        rng = np.random.default_rng(SEED + config.hop)
+        length = _length_for_frames(config, 300) - 1
+        signals = [rng.standard_normal(length) for _ in range(2)]
+        outputs = _stream(signals, config,
+                          lambda frames, spectra: spectra + [2.0 * spectra[0]], 3)
+        assert len(outputs) == 3
+        for k, out in enumerate(outputs):
+            assert out.shape == (length,) and out.flags.writeable
+            for other in signals + outputs[:k]:
+                assert not np.shares_memory(out, other)
+        spectra = [stft(Signal(x), config) for x in signals]
+        spectra.append(ComplexSpectrogram(2.0 * spectra[0].data, config))
+        for out, spectrum in zip(outputs, spectra):
+            assert np.array_equal(out, istft(spectrum, length).samples)
 
 
 class TestTypes:

@@ -16,10 +16,14 @@ both sides alike. Each checkout runs its own benchmark and program, for the
 The output file holds, per workload and end-to-end metric of the change's
 BENCHMARK.json: each side's median and quartiles, the change's median minus
 the parent's, the parent's interquartile range, and the pairs each side won
-(a tie counts for neither), over the pairs whose two runs both finished;
-then the failed and attempted operations per side, the runs that exited
-non-zero (kept with their exit code, and the tool exits 1 after writing the
-file), every run, and the environment.
+(a tie counts for neither), over the pairs whose two runs both finished.
+The same summary follows for each run's clock, read from the report the
+run wrote under `.bench_out/`: its median reference time and its median
+call wall time. A ratio to the reference such as `op_cost_ref` moves with
+either, so the clock shows which one moved. Then come the failed and
+attempted operations per side, the runs that exited non-zero (kept with
+their exit code, and the tool exits 1 after writing the file), every run,
+and the environment.
 
 Timings move with the length of the checkout's path, not only with the
 code: the same program read 16-25 % faster in the longer-named of two
@@ -93,8 +97,10 @@ def summarise(pairs, better):
 
 
 def run_bench(root, workload, seed, seconds):
-    """The last stdout line of one `bench/run.py --trace 0` run, parsed; for
-    a run that exits non-zero, its exit code and no metrics."""
+    """The last stdout line of one `bench/run.py --trace 0` run, parsed, with
+    the run's clock from the report it wrote: the median reference time and
+    the median call wall time, in seconds.  For a run that exits non-zero,
+    its exit code and no metrics."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -102,7 +108,15 @@ def run_bench(root, workload, seed, seconds):
     )
     if done.returncode != 0:
         return {"correct": False, "returncode": done.returncode}
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    run = json.loads(done.stdout.strip().splitlines()[-1])
+    report = json.loads((root / ".bench_out" / (
+        "report-%s-seed%d-trace0.json" % (workload, seed))).read_text())
+    run["clock"] = {
+        "reference_s": statistics.median(report["reference_s"]),
+        "call_s": statistics.median(
+            latency for _, _, latency, _ in report["call_latencies_s"]),
+    }
+    return run
 
 
 def _environment():
@@ -139,11 +153,14 @@ def main(argv=None):
             for side in order:
                 root = parent if side == "parent" else change
                 pair[side] = run = run_bench(root, workload, seed, seconds)
-                print("%s seed %d %s: %s" % (workload, seed, side, json.dumps(
-                    {name: metric["value"]
-                     for name, metric in run["metrics"].items()}
-                    if "metrics" in run else run)),
-                    file=sys.stderr, flush=True)
+                shown = run
+                if "metrics" in run:
+                    shown = {name: metric["value"]
+                             for name, metric in run["metrics"].items()}
+                    shown.update(run["clock"])
+                print("%s seed %d %s: %s" % (workload, seed, side,
+                                             json.dumps(shown)),
+                      file=sys.stderr, flush=True)
             runs[workload].append(pair)
     report = {
         # the directory names, and the length both paths share
@@ -167,6 +184,14 @@ def main(argv=None):
                     metric["better"],
                 )
                 for metric in benchmark["end_to_end"] if finished
+            },
+            "clock": {
+                name: summarise(
+                    [(pair["parent"]["clock"][name], pair["change"]["clock"][name])
+                     for pair in finished],
+                    "lower",
+                )
+                for name in ("reference_s", "call_s") if finished
             },
             "failed": {side: sum(pair[side].get("failed", 0) for pair in pairs)
                        for side in sides},
