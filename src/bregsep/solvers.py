@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class SolverDivergedError(RuntimeError):
         return type(self), (self.iteration, self.reason)
 
 
+def _check_iterations(iterations):
+    """Reject an iteration count that is not an integer >= 0."""
+    if not isinstance(iterations, Integral) or iterations < 0:
+        raise ValueError("iterations must be an integer >= 0")
+
+
 @dataclass(eq=False)
 class SolverConfig:
     """Projected-gradient settings.
@@ -74,8 +81,7 @@ class SolverConfig:
     iterations: int = 5
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        _check_iterations(self.iterations)
         if not (np.isfinite(self.step_size) and self.step_size >= 0):
             # 0 degenerates to repeated projection of the initialization
             raise ValueError("step_size must be finite and >= 0")
@@ -110,7 +116,8 @@ def _phase_synthesis(measurements, x, config):
     def synthesise(frames, spectra):
         (phase,) = spectra
         inverse = np.abs(phase)
-        if not inverse.all():
+        # |X| >= 0, so a zero bin is the minimum; min is a faster test than all
+        if inverse.min() == 0:
             zero = inverse == 0
             inverse[zero] = phase[zero] = 1.0
         np.divide(1.0, inverse, out=inverse)
@@ -190,8 +197,7 @@ def griffin_lim(measurements, init, iterations, config):
     Returns:
         Signal estimate, in a new array also with 0 iterations.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_iterations(iterations)
     _check_measurements([measurements], init, config, d=1)
     s = init.samples
     for _ in range(iterations):
@@ -239,8 +245,7 @@ def misi(measurements, mixture, iterations, config, init=None):
         SeparationResult.  Its arrays are new, also with 0 iterations: they
         share no memory with init.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_iterations(iterations)
     current = _initial_sources("misi", measurements, mixture, config, 1, init)
     for _ in range(iterations):
         updated = [

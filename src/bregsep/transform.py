@@ -20,12 +20,19 @@ The solvers, the objective and its gradient, and the providers stream
 signals through one kernel, 128 frames at a time, and build no full complex
 spectrogram; stft and istft, kept for the public API, are its whole-array
 case.  Elementwise results do not depend on the block size.
+
+The kernel applies the unitary scale 1/sqrt(win_length) in its window, and
+runs FFTs that scale nothing, where the scale is a power of two (win_length
+4, 16, 64, 256, 1024, ...).  Such a scaling is exact short of subnormal
+values, so results are bit for bit those of norm="ortho", which other
+win_length keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -138,6 +145,14 @@ class StftConfig:
         window.flags.writeable = False
         return window
 
+    @cached_property
+    def _kernel(self):
+        """The kernel's window and rfft and irfft norms (see the module)."""
+        root = isqrt(self.win_length)
+        if root * root != self.win_length or root & (root - 1):
+            return self.window, "ortho", "ortho"
+        return self.window / root, "backward", "forward"
+
     # normalization_constant, computed once per config; a non-COLA config
     # raises NotColaError on every access
     b = cached_property(normalization_constant)
@@ -241,17 +256,16 @@ def _frames(x, config):
     padded = _buffer(n_frames, config)
     padded[config.head_pad : config.head_pad + x.size] = x
     (step,) = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n_frames, config.win_length),
-        strides=(config.hop * step, step),
-        writeable=False,
-    )
+    frames = np.ndarray((n_frames, config.win_length), buffer=padded,
+                        strides=(config.hop * step, step))
+    frames.flags.writeable = False
+    return frames
 
 
 def _analyse(frames, config):
     """Windowed one-sided spectra of the given frames, (n_bins, n_frames)."""
-    return np.fft.rfft(frames * config.window, axis=1, norm="ortho").T
+    window, norm, _ = config._kernel
+    return np.fft.rfft(frames * window, axis=1, norm=norm).T
 
 
 def _overlap_add(spectra, config, buf, first):
@@ -262,8 +276,9 @@ def _overlap_add(spectra, config, buf, first):
     """
     hop, overlap = config.hop, config.win_length // config.hop
     n_frames = spectra.shape[1]
-    frames = np.fft.irfft(spectra.T, n=config.win_length, axis=1, norm="ortho")
-    frames *= config.window
+    window, _, norm = config._kernel
+    frames = np.fft.irfft(spectra.T, n=config.win_length, axis=1, norm=norm)
+    frames *= window
     segments = frames.reshape(n_frames, overlap, hop)
     chunks = buf.reshape(-1, hop)[first:]
     for k in reversed(range(overlap)):

@@ -47,6 +47,29 @@ def test_a_gain_inside_the_parent_spread_does_not_clear_it():
     assert not summary["clears_parent_iqr"]
 
 
+def test_a_gain_needs_nine_tenths_of_all_pairs_ties_counting_for_neither():
+    # 10 pairs, the change 1.0 better where it wins, well clear of the spread
+    def pairs(wins, ties):
+        return ([(3.0, 2.0)] * wins + [(3.0, 3.0)] * ties
+                + [(3.0, 3.5)] * (10 - wins - ties))
+
+    for wins, ties, gain in ((10, 0, True), (9, 0, True), (9, 1, True),
+                             (8, 2, False), (8, 0, False)):
+        summary = ab.summarise(pairs(wins, ties), "lower")
+        assert summary["clears_parent_iqr"]
+        assert summary["gain"] is gain, (wins, ties)
+    # higher is better: the same pairs seen from the other side
+    flipped = [(-p, -c) for p, c in pairs(9, 1)]
+    assert ab.summarise(flipped, "higher")["gain"]
+    assert not ab.summarise(flipped, "lower")["gain"]
+
+
+def test_all_pairs_won_inside_the_parent_spread_is_no_gain():
+    pairs = [(1.0, 0.9), (2.0, 1.9), (3.0, 2.9), (4.0, 3.9)]
+    summary = ab.summarise(pairs, "lower")
+    assert summary["change_wins"] == 4 and not summary["gain"]
+
+
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError):
         ab.summarise([(1.0, 2.0)], "faster")
@@ -200,3 +223,47 @@ def test_a_workload_with_no_finished_pair_has_no_summary(tmp_path, monkeypatch):
     summary = json.loads(out.read_text())["workloads"]["a"]
     assert summary["metrics"] == {} and summary["clock"] == {}
     assert summary["exited_nonzero"] == {"parent": 1, "change": 1}
+
+
+def test_a_line_per_workload_and_metric_states_the_gain(tmp_path, monkeypatch,
+                                                        capsys):
+    parent, change = _checkout(tmp_path / "par"), _checkout(tmp_path / "new")
+
+    def fake_run(root, workload, seed, seconds):
+        # workload a: the change costs less in 9 pairs and ties in seed 10,
+        # and reads higher SDRi in all 10; workload b: it costs less in 8
+        # pairs, ties in 2, and reads lower SDRi in all 10
+        side = "parent" if root == parent.resolve() else "change"
+        cost, sdri = 3.0 + seed / 100.0, 1.5
+        if side == "change":
+            tied = seed == 10 if workload == "a" else seed >= 9
+            cost -= 0.0 if tied else 1.0
+            sdri += 0.25 if workload == "a" else -0.25
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"op_cost_ref": {"value": cost, "unit": "ref"},
+                            "sdri_db": {"value": sdri, "unit": "dB"}},
+                "clock": {"reference_s": 0.01, "call_s": 0.01 * cost}}
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert ab.main([
+        "--parent", str(parent), "--change", str(change), "--workloads", "a", "b",
+        "--seeds", *map(str, range(1, 11)), "--out", str(out),
+    ]) == 0
+    metrics = {workload: summary["metrics"] for workload, summary
+               in json.loads(out.read_text())["workloads"].items()}
+    assert [[metrics[w][m]["gain"] for m in ("op_cost_ref", "sdri_db")]
+            for w in ("a", "b")] == [[True, True], [False, False]]
+    assert metrics["b"]["op_cost_ref"]["clears_parent_iqr"]
+    assert (metrics["b"]["op_cost_ref"]["change_wins"],
+            metrics["b"]["op_cost_ref"]["parent_wins"]) == (8, 0)
+    assert capsys.readouterr().out.splitlines() == [
+        "a op_cost_ref: parent 3.055, change 2.055 (-32.73 %), parent IQR 0.045, "
+        "pairs won 9/0 of 10, gain true",
+        "a sdri_db: parent 1.5, change 1.75 (+16.67 %), parent IQR 0, "
+        "pairs won 10/0 of 10, gain true",
+        "b op_cost_ref: parent 3.055, change 2.055 (-32.73 %), parent IQR 0.045, "
+        "pairs won 8/0 of 10, gain false",
+        "b sdri_db: parent 1.5, change 1.25 (-16.67 %), parent IQR 0, "
+        "pairs won 0/10 of 10, gain false",
+    ]

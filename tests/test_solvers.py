@@ -40,6 +40,16 @@ def _random_measurements(rng, length, count, d=1, config=CFG):
     return out
 
 
+def _refuse_transforms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(solvers, "_stream", refuse)
+
+
+NON_INTEGER_COUNTS = (2.5, 2.0, "2", None)
+
+
 def _fd_gradient(signal, meas, spec, config):
     s = signal.samples
     grad = np.zeros_like(s)
@@ -253,6 +263,17 @@ class TestGriffinLim:
         out = griffin_lim(r, init, 0, CFG)
         assert not np.shares_memory(out.samples, init.samples)
 
+    @pytest.mark.parametrize("iterations", NON_INTEGER_COUNTS)
+    def test_non_integer_iterations_rejected_before_any_transform(
+        self, monkeypatch, iterations
+    ):
+        rng = np.random.default_rng(SEED + 7)
+        x = Signal(rng.standard_normal(1000))
+        r = Measurements(np.abs(stft(x, CFG).data), 1)
+        _refuse_transforms(monkeypatch)
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            griffin_lim(r, x, iterations, CFG)
+
     def test_fixed_point_at_exact_magnitudes(self):
         rng = np.random.default_rng(SEED + 8)
         x = Signal(rng.standard_normal(2000))
@@ -341,6 +362,18 @@ class TestMisi:
             init = [Signal(rng.standard_normal(length)) for _ in range(2)]
             with pytest.raises(ValueError, match="mixture's length"):
                 misi(meas, x, 3, CFG, init=init)
+
+    @pytest.mark.parametrize("iterations", NON_INTEGER_COUNTS)
+    def test_non_integer_iterations_rejected_before_any_transform(
+        self, monkeypatch, iterations
+    ):
+        # amplitude masking, misi's start, must not run either
+        rng = np.random.default_rng(SEED + 13)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        _refuse_transforms(monkeypatch)
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            misi(meas, x, iterations, CFG)
 
     def test_estimates_sum_to_mixture(self):
         rng = np.random.default_rng(SEED + 14)
@@ -673,11 +706,7 @@ class TestPgdStart:
         # the first direction is computed by the first run that reads it
         x, meas, spec, start = self._problem()
         init = [Signal(s) for s in start.sources]
-
-        def refuse(*args):
-            raise AssertionError("a transform ran")
-
-        monkeypatch.setattr(solvers, "_stream", refuse)
+        _refuse_transforms(monkeypatch)
         built = pgd_start(meas, x, spec, CFG, init)
         monkeypatch.undo()
         for got, want in zip(built.direction, start.direction):
@@ -686,11 +715,7 @@ class TestPgdStart:
     def test_zero_iterations_run_no_transform(self, monkeypatch):
         x, meas, spec, start = self._problem()
         init = [Signal(s) for s in start.sources]
-
-        def refuse(*args):
-            raise AssertionError("a transform ran")
-
-        monkeypatch.setattr(solvers, "_stream", refuse)
+        _refuse_transforms(monkeypatch)
         cfg = SolverConfig(spec, 1e-3, 0)
         for kwargs in ({"init": init}, {"start": start}):
             out = projected_gradient(meas, x, cfg, CFG, **kwargs)
@@ -749,3 +774,12 @@ class TestSolverConfig:
                 SolverConfig(DivergenceSpec(2.0), step_size=step)
         with pytest.raises(ValueError):
             SolverConfig(DivergenceSpec(2.0), iterations=-1)
+
+    @pytest.mark.parametrize("iterations", NON_INTEGER_COUNTS)
+    def test_non_integer_iterations_rejected(self, iterations):
+        # before projected_gradient could reach range() with the count
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            SolverConfig(DivergenceSpec(2.0), iterations=iterations)
+
+    def test_numpy_integer_iterations_accepted(self):
+        assert SolverConfig(DivergenceSpec(2.0), iterations=np.int64(3)).iterations == 3

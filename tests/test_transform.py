@@ -261,7 +261,9 @@ def _length_for_frames(config, n_frames):
     return n_frames * config.hop - config.head_pad
 
 
-# frame counts from 5 to 293, and signals shorter than the hop
+# frame counts from 5 to 293, and signals shorter than the hop.  The kernel
+# folds the unitary scale into the window at 64, 256 and 1024 taps, powers
+# of 4, and leaves it to the FFTs at 6, 24, 32 and 512
 FRAME_LOOP_CASES = [
     (StftConfig(32, 8), _length_for_frames(StftConfig(32, 8), n))
     for n in (5, 127, 128, 129, 256, 293)
@@ -273,6 +275,8 @@ FRAME_LOOP_CASES = [
     (StftConfig(64, 16), 15),
     (StftConfig(1024, 256), 32000),
     (StftConfig(1024, 256), 40000),
+    (StftConfig(256, 64), _length_for_frames(StftConfig(256, 64), 300) - 11),
+    (StftConfig(512, 128), _length_for_frames(StftConfig(512, 128), 150) - 3),
 ]
 
 

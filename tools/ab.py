@@ -16,14 +16,19 @@ both sides alike. Each checkout runs its own benchmark and program, for the
 The output file holds, per workload and end-to-end metric of the change's
 BENCHMARK.json: each side's median and quartiles, the change's median minus
 the parent's, the parent's interquartile range, and the pairs each side won
-(a tie counts for neither), over the pairs whose two runs both finished.
+(a tie counts for neither), over the pairs whose two runs both finished,
+and `gain`: whether the change won at least nine tenths of those pairs and
+its median is better than the parent's by more than the parent's IQR, the
+rule a claimed gain must meet.
 The same summary follows for each run's clock, read from the report the
 run wrote under `.bench_out/`: its median reference time and its median
 call wall time. A ratio to the reference such as `op_cost_ref` moves with
 either, so the clock shows which one moved. Then come the failed and
 attempted operations per side, the runs that exited non-zero (kept with
 their exit code, and the tool exits 1 after writing the file), every run,
-and the environment.
+and the environment. After the runs, one line per workload and end-to-end
+metric on stdout gives both medians, the relative change, the parent's IQR,
+the pairs each side won, and `gain`.
 
 Timings move with the length of the checkout's path, not only with the
 code: the same program read 16-25 % faster in the longer-named of two
@@ -82,6 +87,9 @@ def summarise(pairs, better):
         sides[side] = {"q1": q1, "median": median, "q3": q3}
     parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
     difference = sides["change"]["median"] - sides["parent"]["median"]
+    change_wins = sum(sign * (c - p) < 0 for p, c in pairs)
+    # the change is better by more than the parent's own spread
+    clears = sign * difference < 0 and abs(difference) > parent_iqr
     return {
         "better": better,
         "pairs": len(pairs),
@@ -89,11 +97,29 @@ def summarise(pairs, better):
         "change": sides["change"],
         "change_minus_parent": difference,
         "parent_iqr": parent_iqr,
-        "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+        "change_wins": change_wins,
         "parent_wins": sum(sign * (c - p) > 0 for p, c in pairs),
-        # the change is better by more than the parent's own spread
-        "clears_parent_iqr": sign * difference < 0 and abs(difference) > parent_iqr,
+        "clears_parent_iqr": clears,
+        # at least nine tenths of all pairs won, ties counting for neither
+        "gain": 10 * change_wins >= 9 * len(pairs) and clears,
     }
+
+
+def gain_lines(report):
+    """One line per workload and end-to-end metric of a report: both
+    medians, the relative change, the parent's IQR, the pairs won and gain."""
+    for workload, summary in report["workloads"].items():
+        for name, metric in summary["metrics"].items():
+            parent, change = metric["parent"]["median"], metric["change"]["median"]
+            relative = "n/a"
+            if parent:
+                relative = "%+.2f %%" % (100.0 * (change - parent) / parent)
+            yield ("%s %s: parent %.6g, change %.6g (%s), parent IQR %.3g, "
+                   "pairs won %d/%d of %d, gain %s" % (
+                       workload, name, parent, change, relative,
+                       metric["parent_iqr"], metric["change_wins"],
+                       metric["parent_wins"], metric["pairs"],
+                       str(metric["gain"]).lower()))
 
 
 def run_bench(root, workload, seed, seconds):
@@ -202,6 +228,8 @@ def main(argv=None):
             "runs": pairs,
         }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    for line in gain_lines(report):
+        print(line)
     crashed = any("returncode" in pair[side]
                   for pairs in runs.values() for pair in pairs for side in sides)
     return 1 if crashed else 0
