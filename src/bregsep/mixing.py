@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import Measurements, Signal, _stream
+from .transform import Measurements, Signal, _float_spectrogram
 
 PROVIDER_ORACLE = "oracle"
 PROVIDER_NOISY_ORACLE = "noisy_oracle"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProviderSpec:
     """How per-source measurements are produced from the true sources.
 
@@ -94,9 +94,10 @@ def mix_at_snr(speech, noise, snr_db):
 def provide_spectrograms(sources, provider, d, config):
     """Build per-source Measurements from the true sources.
 
-    The noisy oracle consumes one standard-normal matrix per source, in
-    order, from a generator seeded with provider.seed, so results are
-    deterministic for a fixed seed.
+    Each is formed in one streamed pass, block by block: |S|, times
+    exp(sigma * G) for the noisy oracle, squared for d = 2.  G is one
+    C-order standard-normal (bins, frames) matrix per source, drawn whole in
+    source order from a generator seeded with provider.seed.
 
     Args:
         sources: list of true-source Signals.
@@ -113,15 +114,16 @@ def provide_spectrograms(sources, provider, d, config):
     rng = np.random.default_rng(provider.seed)
     out = []
     for source in sources:
-        # |rfft| is written block by block into the frame-major result
-        mag = np.empty((config.n_bins, config.n_frames(len(source))), order="F")
-
-        def measure(frames, spectra):
-            np.abs(spectra[0], out=mag[:, frames])
-            return []
-
-        _stream([source.samples], config, measure)
+        noise = None  # drops the last source's G before drawing this one's
         if provider.mode == PROVIDER_NOISY_ORACLE:
-            mag *= np.exp(provider.sigma * rng.standard_normal(mag.shape), order="F")
-        out.append(Measurements(mag if d == 1 else mag**2, d))
+            noise = rng.standard_normal((config.n_bins, config.n_frames(len(source))))
+
+        def measure(block, frames, spectrum):
+            np.abs(spectrum, out=block)
+            if noise is not None:
+                block *= np.exp(provider.sigma * noise[:, frames])
+            if d == 2:
+                np.square(block, out=block)
+
+        out.append(Measurements(_float_spectrogram(source.samples, config, measure), d))
     return out

@@ -67,7 +67,7 @@ def _check_iterations(iterations):
         raise ValueError("iterations must be an integer >= 0")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Projected-gradient settings.
 

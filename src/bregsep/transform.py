@@ -14,7 +14,8 @@ Spectrogram-shaped arrays are (n_bins, n_frames), frame-major in memory
 (Fortran order): the layout the analysis produces, since each frame is
 transformed as one contiguous row before the transpose.  Measurements are
 held in that layout too, copied into it once if they arrive in another, so
-the solvers' elementwise passes read every operand along its strides.
+the solvers' elementwise passes read every operand along its strides.  Only
+this module names the layout; providers fill theirs via _float_spectrogram.
 
 The solvers, the objective and its gradient, and the providers stream
 signals through one kernel, 128 frames at a time, and build no full complex
@@ -43,7 +44,7 @@ class NotColaError(ValueError):
     """Squared analysis window does not overlap-add to a constant."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A mono time-domain signal with a sample rate.
 
@@ -55,14 +56,14 @@ class Signal:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError("signal samples must be a 1-D array")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("signal samples must be finite")
         if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
             raise ValueError("sample_rate must be a positive integer")
-        self.sample_rate = int(self.sample_rate)
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self):
         return self.samples.size
@@ -164,7 +165,7 @@ class StftConfig:
         return (self.head_pad + length - 1) // self.hop + 1
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ComplexSpectrogram:
     """One-sided complex STFT values on an (n_bins, n_frames) grid."""
 
@@ -173,7 +174,7 @@ class ComplexSpectrogram:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.complex128))
         if self.data.ndim != 2:
             raise ValueError("spectrogram data must be 2-D (bins x frames)")
         if self.data.shape[0] != self.config.n_bins:
@@ -185,7 +186,7 @@ class ComplexSpectrogram:
             raise ValueError("spectrogram data must be finite")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Measurements:
     """Nonnegative magnitude (d=1) or power (d=2) spectrogram targets.
 
@@ -199,7 +200,7 @@ class Measurements:
     d: int = 1
 
     def __post_init__(self):
-        self.data = np.asfortranarray(self.data, dtype=np.float64)
+        object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=np.float64))
         if self.data.ndim != 2:
             raise ValueError("measurements must be 2-D (bins x frames)")
         if not np.all(np.isfinite(self.data)):
@@ -319,6 +320,20 @@ def _stream(signals, config, consume, n_out=0):
         for buf in bufs:
             _overlap_add(spectra.pop(0), config, buf, first)
     return [_trimmed(buf, config, signals[0].size) for buf in bufs]
+
+
+def _float_spectrogram(x, config, write):
+    """A frame-major float array on x's analysis grid, filled in one
+    :func:`_stream` pass: write(block, frames, spectrum) fills block, its
+    slice on each block's frames, from x's spectrum on them."""
+    out = np.empty((config.n_bins, config.n_frames(x.size)), order="F")
+
+    def fill(frames, spectra):
+        write(out[:, frames], frames, spectra[0])
+        return []
+
+    _stream([x], config, fill)
+    return out
 
 
 def stft(signal, config):

@@ -70,6 +70,18 @@ def test_all_pairs_won_inside_the_parent_spread_is_no_gain():
     assert summary["change_wins"] == 4 and not summary["gain"]
 
 
+def test_a_regression_is_worse_than_the_parent_by_more_than_the_bound():
+    # the bound is a fraction of the parent's median: 2.0 here, either way
+    for better, change, regressed in (("lower", 12.0, False), ("lower", 12.5, True),
+                                      ("lower", 5.0, False), ("higher", 8.0, False),
+                                      ("higher", 7.5, True), ("higher", 15.0, False)):
+        summary = ab.summarise([(10.0, change)] * 4, better, 0.2)
+        assert summary["regressed"] is regressed, (better, change)
+        assert summary["unresolved"] is False
+    # no bound, no verdict: the clock has none
+    assert "regressed" not in ab.summarise([(1.0, 2.0)], "lower")
+
+
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError):
         ab.summarise([(1.0, 2.0)], "faster")
@@ -79,8 +91,8 @@ def _checkout(root, bench=""):
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text(bench)
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
-        {"name": "op_cost_ref", "better": "lower"},
-        {"name": "sdri_db", "better": "higher"},
+        {"name": "op_cost_ref", "better": "lower", "bound": 0.2},
+        {"name": "sdri_db", "better": "higher", "bound": 0.15},
     ]}))
     return root
 
@@ -259,11 +271,58 @@ def test_a_line_per_workload_and_metric_states_the_gain(tmp_path, monkeypatch,
             metrics["b"]["op_cost_ref"]["parent_wins"]) == (8, 0)
     assert capsys.readouterr().out.splitlines() == [
         "a op_cost_ref: parent 3.055, change 2.055 (-32.73 %), parent IQR 0.045, "
-        "pairs won 9/0 of 10, gain true",
+        "pairs won 9/0 of 10, gain true, regressed false, unresolved false",
         "a sdri_db: parent 1.5, change 1.75 (+16.67 %), parent IQR 0, "
-        "pairs won 10/0 of 10, gain true",
+        "pairs won 10/0 of 10, gain true, regressed false, unresolved false",
         "b op_cost_ref: parent 3.055, change 2.055 (-32.73 %), parent IQR 0.045, "
-        "pairs won 8/0 of 10, gain false",
+        "pairs won 8/0 of 10, gain false, regressed false, unresolved false",
+        # 0.25 dB below a 1.5 dB parent: past the bound of 0.15 x 1.5
         "b sdri_db: parent 1.5, change 1.25 (-16.67 %), parent IQR 0, "
-        "pairs won 0/10 of 10, gain false",
+        "pairs won 0/10 of 10, gain false, regressed true, unresolved false",
     ]
+
+
+def test_regressed_and_unresolved_from_fake_runs(tmp_path, monkeypatch, capsys):
+    parent, change = _checkout(tmp_path / "par"), _checkout(tmp_path / "new")
+
+    def fake_run(root, workload, seed, seconds):
+        # the parent's cost spreads by 0.45 around 10.55, inside the 20 %
+        # bound; its SDRi alternates 4 and 8 dB, an IQR of 4 dB, wider than
+        # 15 % of its 6 dB median.  The change costs 25 % more in "slower"
+        # and 15 % more in "within", and reads 6 dB of SDRi in "slower",
+        # 9 dB, above every parent run, in "within"
+        side = "parent" if root == parent.resolve() else "change"
+        cost, sdri = 10.0 + seed / 10.0, 4.0 + 4.0 * (seed % 2)
+        if side == "change":
+            cost *= 1.25 if workload == "slower" else 1.15
+            sdri = 6.0 if workload == "slower" else 9.0
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"op_cost_ref": {"value": cost, "unit": "ref"},
+                            "sdri_db": {"value": sdri, "unit": "dB"}},
+                "clock": {"reference_s": 0.01, "call_s": 0.01 * cost}}
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert ab.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workloads", "slower", "within",
+        "--seeds", *map(str, range(1, 11)), "--out", str(out),
+    ]) == 0
+    report = json.loads(out.read_text())["workloads"]
+    verdicts = {(workload, name): (metric["regressed"], metric["unresolved"])
+                for workload, summary in report.items()
+                for name, metric in summary["metrics"].items()}
+    assert verdicts == {
+        ("slower", "op_cost_ref"): (True, False),
+        ("slower", "sdri_db"): (False, True),
+        ("within", "op_cost_ref"): (False, False),
+        ("within", "sdri_db"): (False, False),
+    }
+    assert [line.split(", gain ")[1] for line in capsys.readouterr().out.splitlines()] == [
+        "false, regressed true, unresolved false",
+        "false, regressed false, unresolved true",
+        "false, regressed false, unresolved false",
+        "false, regressed false, unresolved false",
+    ]
+    # the clock has no bound, so no verdict
+    assert "regressed" not in report["slower"]["clock"]["call_s"]

@@ -8,6 +8,9 @@
   other module uses the whole-array analysis either: stft, istft and
   ComplexSpectrogram are kept for the public API, which __init__.py
   re-exports.
+- One spectrogram layout: only transform.py names the frame-major order
+  (order="F", asfortranarray) that spectra and Measurements are held in;
+  the providers fill their arrays through its _float_spectrogram.
 - No BLAS norm where the sweep's forked workers run: OpenBLAS threads
   spinning in every worker slowed a default-grid sweep about threefold, so
   the workers' norms are metrics._norm.  np.linalg.norm stays only on the
@@ -36,6 +39,11 @@ def test_eps_floor_only_in_divergence():
 
 def test_fft_only_in_transform():
     assert _modules_matching(r"(np|numpy|scipy)[.]fft|import fft") <= {"transform.py"}
+
+
+def test_spectrogram_layout_only_in_transform():
+    layout = r"order\s*=\s*[\"']F[\"']|asfortranarray"
+    assert _modules_matching(layout) == {"transform.py"}
 
 
 def _whole_array_uses(path):

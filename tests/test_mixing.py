@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,19 +137,30 @@ class TestProvideSpectrograms:
         assert np.all(noisy[0].data >= 0.0)
         assert np.std(np.log(ratio[clean > 1e-8])) > 0.1
 
-    @pytest.mark.parametrize("mode", ["oracle", "noisy_oracle"])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_frame_major_and_bitwise_the_formula(self, mode, d):
+    @pytest.mark.parametrize("d, mode, length, config", [
+        pytest.param(d, mode, length, config, id="-".join([str(d), mode, *tag]))
+        for length, config, tag in (
+            (2000, CFG, []),
+            # 160 frames: more than one block of the streaming kernel
+            (10000, CFG, ["160_frames"]),
+            # a grid whose unitary scale is applied in the FFTs
+            (2000, StftConfig(512, 128), ["512_128"]),
+        )
+        for d in (1, 2)
+        for mode in ("oracle", "noisy_oracle")
+    ])
+    def test_frame_major_and_bitwise_the_formula(self, d, mode, length, config):
         # the layout of the STFT's spectra, and the bits of
-        # r = (|stft(s)| * exp(sigma G))^d computed in the plain order
+        # r = (|stft(s)| * exp(sigma G))^d computed in the plain order, one
+        # C-order G per source, drawn in source order
         rng = np.random.default_rng(SEED + 9)
-        sources = [Signal(rng.standard_normal(2000)) for _ in range(2)]
+        sources = [Signal(rng.standard_normal(length)) for _ in range(2)]
         sigma = 0.5 if mode == "noisy_oracle" else 0.0
-        meas = provide_spectrograms(sources, ProviderSpec(mode, sigma, 17), d, CFG)
+        meas = provide_spectrograms(sources, ProviderSpec(mode, sigma, 17), d, config)
         noise = np.random.default_rng(17)
         for src, r in zip(sources, meas):
             assert r.data.flags.f_contiguous
-            mag = np.abs(stft(src, CFG).data)
+            mag = np.abs(stft(src, config).data)
             if mode == "noisy_oracle":
                 mag = mag * np.exp(sigma * noise.standard_normal(mag.shape))
             expected = mag if d == 1 else mag**2
@@ -156,6 +169,14 @@ class TestProvideSpectrograms:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProviderSpec("psychic")
+
+    def test_frozen_after_validation(self):
+        # an assignment would skip the checks made when it was built
+        spec = ProviderSpec("noisy_oracle", 0.5, 3)
+        for name, value in (("sigma", -3.0), ("mode", "psychic")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert (spec.mode, spec.sigma) == ("noisy_oracle", 0.5)
 
     @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
     def test_bad_sigma_rejected(self, sigma):

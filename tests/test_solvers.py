@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -783,3 +784,11 @@ class TestSolverConfig:
 
     def test_numpy_integer_iterations_accepted(self):
         assert SolverConfig(DivergenceSpec(2.0), iterations=np.int64(3)).iterations == 3
+
+    def test_frozen_after_validation(self):
+        # an assignment would skip the checks made when it was built
+        cfg = SolverConfig(DivergenceSpec(2.0))
+        for name, value in (("iterations", 2.5), ("step_size", float("nan"))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert (cfg.iterations, cfg.step_size) == (5, 1.0)

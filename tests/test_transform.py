@@ -342,6 +342,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Signal(np.zeros(4), sample_rate=0)
 
+    def test_signal_frozen_after_validation(self):
+        signal = Signal([0.0, 1.0], 16000.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            signal.samples = [np.nan, 1.0]
+        assert np.array_equal(signal.samples, [0.0, 1.0])
+        assert type(signal.sample_rate) is int
+
     def test_measurements_validation(self):
         with pytest.raises(ValueError):
             Measurements(np.array([[1.0, -0.5]]), 1)
@@ -349,6 +356,12 @@ class TestTypes:
             Measurements(np.ones((2, 2)), 3)
         with pytest.raises(ValueError):
             Measurements(np.array([[np.inf]]), 1)
+
+    def test_measurements_frozen_after_validation(self):
+        meas = Measurements(np.ones((3, 4)), 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            meas.data = -np.ones((3, 4))
+        assert meas.data.flags.f_contiguous and meas.data.min() == 1.0
 
     def test_measurements_hold_the_spectrum_layout(self):
         # a C-ordered (bins, frames) array is copied once, into the
@@ -367,3 +380,9 @@ class TestTypes:
         data[0, 0] = np.nan
         with pytest.raises(ValueError):
             ComplexSpectrogram(data, cfg)
+
+    def test_spectrogram_frozen_after_validation(self):
+        spectrogram = ComplexSpectrogram(np.zeros((5, 2)), StftConfig(8, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spectrogram.data = np.full((5, 2), np.nan)
+        assert spectrogram.data.dtype == np.complex128

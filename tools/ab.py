@@ -19,7 +19,11 @@ the parent's, the parent's interquartile range, and the pairs each side won
 (a tie counts for neither), over the pairs whose two runs both finished,
 and `gain`: whether the change won at least nine tenths of those pairs and
 its median is better than the parent's by more than the parent's IQR, the
-rule a claimed gain must meet.
+rule a claimed gain must meet. The no-regression rule follows, with the
+metric's `bound` in BENCHMARK.json read as a fraction of the parent's
+median: `regressed`, the change's median worse than the parent's by more
+than that fraction, and `unresolved`, the parent's IQR wider than it,
+unless every run of the change is better than every run of the parent.
 The same summary follows for each run's clock, read from the report the
 run wrote under `.bench_out/`: its median reference time and its median
 call wall time. A ratio to the reference such as `op_cost_ref` moves with
@@ -28,7 +32,7 @@ attempted operations per side, the runs that exited non-zero (kept with
 their exit code, and the tool exits 1 after writing the file), every run,
 and the environment. After the runs, one line per workload and end-to-end
 metric on stdout gives both medians, the relative change, the parent's IQR,
-the pairs each side won, and `gain`.
+the pairs each side won, `gain`, `regressed` and `unresolved`.
 
 Timings move with the length of the checkout's path, not only with the
 code: the same program read 16-25 % faster in the longer-named of two
@@ -72,11 +76,14 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarise(pairs, better):
+def summarise(pairs, better, bound=None):
     """The summary of one metric over (parent, change) pairs of values.
 
     better is "lower" or "higher": which way the metric improves.  A pair is
     a win for the side whose value is better; equal values count for neither.
+    bound, given for an end-to-end metric, is its bound in BENCHMARK.json, a
+    fraction of the parent's median; with it the summary adds `regressed`
+    and `unresolved`, the no-regression rule (see the module).
     """
     if better not in ("lower", "higher"):
         raise ValueError("better must be 'lower' or 'higher'")
@@ -90,7 +97,7 @@ def summarise(pairs, better):
     change_wins = sum(sign * (c - p) < 0 for p, c in pairs)
     # the change is better by more than the parent's own spread
     clears = sign * difference < 0 and abs(difference) > parent_iqr
-    return {
+    summary = {
         "better": better,
         "pairs": len(pairs),
         "parent": sides["parent"],
@@ -103,11 +110,19 @@ def summarise(pairs, better):
         # at least nine tenths of all pairs won, ties counting for neither
         "gain": 10 * change_wins >= 9 * len(pairs) and clears,
     }
+    if bound is not None:
+        allowed = bound * abs(sides["parent"]["median"])
+        every_run_better = (max(sign * c for _, c in pairs)
+                            < min(sign * p for p, _ in pairs))
+        summary["regressed"] = sign * difference > allowed
+        summary["unresolved"] = parent_iqr > allowed and not every_run_better
+    return summary
 
 
 def gain_lines(report):
     """One line per workload and end-to-end metric of a report: both
-    medians, the relative change, the parent's IQR, the pairs won and gain."""
+    medians, the relative change, the parent's IQR, the pairs won, gain,
+    regressed and unresolved."""
     for workload, summary in report["workloads"].items():
         for name, metric in summary["metrics"].items():
             parent, change = metric["parent"]["median"], metric["change"]["median"]
@@ -115,11 +130,12 @@ def gain_lines(report):
             if parent:
                 relative = "%+.2f %%" % (100.0 * (change - parent) / parent)
             yield ("%s %s: parent %.6g, change %.6g (%s), parent IQR %.3g, "
-                   "pairs won %d/%d of %d, gain %s" % (
+                   "pairs won %d/%d of %d, gain %s, regressed %s, unresolved %s" % (
                        workload, name, parent, change, relative,
                        metric["parent_iqr"], metric["change_wins"],
                        metric["parent_wins"], metric["pairs"],
-                       str(metric["gain"]).lower()))
+                       *(str(metric[key]).lower()
+                         for key in ("gain", "regressed", "unresolved"))))
 
 
 def run_bench(root, workload, seed, seconds):
@@ -207,7 +223,7 @@ def main(argv=None):
                     [(pair["parent"]["metrics"][metric["name"]]["value"],
                       pair["change"]["metrics"][metric["name"]]["value"])
                      for pair in finished],
-                    metric["better"],
+                    metric["better"], metric["bound"],
                 )
                 for metric in benchmark["end_to_end"] if finished
             },
