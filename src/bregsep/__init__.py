@@ -8,16 +8,8 @@ mixing constraint.
 """
 
 from .audio import load_wav, write_wav
-from .divergence import (
-    DivergenceSpec,
-    bregman,
-    generator,
-    generator_prime,
-    generator_second,
-    grad_term,
-    objective,
-)
-from .metrics import sdr, sdri
+from .divergence import DivergenceSpec, bregman, grad_term, objective
+from .metrics import sdr
 from .mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from .solvers import (
     PgdStart,
@@ -62,9 +54,6 @@ __all__ = [
     "align_noise",
     "amplitude_mask_init",
     "bregman",
-    "generator",
-    "generator_prime",
-    "generator_second",
     "grad_term",
     "griffin_lim",
     "istft",
@@ -80,7 +69,6 @@ __all__ = [
     "projected_gradient",
     "provide_spectrograms",
     "sdr",
-    "sdri",
     "stft",
     "symmetry_weights",
     "write_wav",

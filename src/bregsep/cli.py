@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav, write_wav
-from .divergence import DivergenceSpec
+from .divergence import DivergenceSpec, _limit_beta
 from .metrics import sdr
 from .mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from .solvers import (
@@ -95,8 +95,8 @@ def _nonnegative(cast):
     return convert
 
 
-def _value_list(cast):
-    """Build a converter for comma-separated lists of distinct values."""
+def _value_list(cast, held=lambda value: value):
+    """Build a converter for comma-separated lists whose held(value)s differ."""
 
     def convert(text):
         parts = [p.strip() for p in str(text).split(",")]
@@ -106,7 +106,7 @@ def _value_list(cast):
         values = [cast(p) for p in parts]
         for index, value in enumerate(values):
             # compared after the cast, so 1 and 1.0 are one value
-            if value in values[:index]:
+            if held(value) in map(held, values[:index]):
                 raise ValueError("repeated value %r" % parts[index])
         return values
 
@@ -116,7 +116,8 @@ def _value_list(cast):
 _CONVERTERS = {
     "algo": _choice(("amplitude_mask", "gl", "misi", "pgd")),
     "beta": float,
-    "betas": _value_list(float),
+    # compared as DivergenceSpec holds them: 1 and 1 - 1e-9 are one value
+    "betas": _value_list(float, _limit_beta),
     "csv": str,
     "d": _choice((1, 2), int),
     "d_values": _value_list(_choice((1, 2), int)),

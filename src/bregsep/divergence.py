@@ -7,8 +7,8 @@ whose second derivative is x**(beta - 2) for every member:
     beta == 1:           x log x - x          (Kullback-Leibler)
     beta == 0:           -log x               (Itakura-Saito)
 
-Every function here that takes a beta evaluates one within BETA_LIMIT_TOL
-of 0 or 1 as that limit.
+DivergenceSpec and bregman evaluate a beta within BETA_LIMIT_TOL of 0 or 1
+as that limit.
 
 The divergence of r from z is the generator's Bregman remainder summed over
 entries.  "right" places the model |As|^d in the second slot, "left" in the
@@ -80,24 +80,12 @@ def _checked(beta, x):
     return x
 
 
-def generator(beta, x):
-    """Generating function of the beta-divergence, evaluated entrywise."""
-    beta = _limit_beta(beta)
-    return _generator(beta, _checked(beta, x))
-
-
 def _generator(beta, x):
     if beta == 0:
         return -np.log(x)
     if beta == 1:
         return x * np.log(x) - x
     return x**beta / (beta * (beta - 1.0))
-
-
-def generator_prime(beta, x):
-    """First derivative of :func:`generator`."""
-    beta = _limit_beta(beta)
-    return _generator_prime(beta, _checked(beta, x))
 
 
 def _generator_prime(beta, x):
@@ -108,21 +96,13 @@ def _generator_prime(beta, x):
     return x ** (beta - 1.0) / (beta - 1.0)
 
 
-def generator_second(beta, x):
-    """Second derivative of :func:`generator`, x**(beta - 2) for all beta."""
-    beta = _limit_beta(beta)
-    x = _checked(beta, x)
-    return x ** (beta - 2.0)
-
-
-def bregman(beta, r, z, weights=None):
+def bregman(beta, r, z):
     """Bregman divergence D(r | z) of the beta generator, summed over entries.
 
     Args:
         beta: divergence parameter.
         r: first argument, nonnegative (strictly positive when beta <= 1).
         z: second argument, strictly positive.
-        weights: optional per-entry multiplicities, broadcastable to r.
 
     Returns:
         Nonnegative float; zero iff r == z.
@@ -136,14 +116,13 @@ def bregman(beta, r, z, weights=None):
     if z.min() <= 0:
         raise ValueError("z must be strictly positive")
     beta = _limit_beta(beta)
-    return _bregman(beta, _checked(beta, r), z, weights)
+    return _bregman(beta, _checked(beta, r), z, 1.0)
 
 
 def _bregman(beta, r, z, weights):
-    """:func:`bregman` on checked float64 arrays r and z > 0, beta as limited."""
+    """:func:`bregman` of checked float64 r and z > 0, beta as limited, weighted."""
     cell = _generator(beta, r) - _generator(beta, z) - _generator_prime(beta, z) * (r - z)
-    if weights is not None:
-        cell = cell * weights
+    cell *= weights
     return float(np.sum(cell))
 
 
@@ -152,8 +131,8 @@ def grad_term(spec, target, mag_d):
 
     For the model z = |As|^d and target r, returns dD/dz evaluated at mag_d:
 
-        right (D(r | z)):  generator_second(mag_d) * (mag_d - r)
-        left  (D(z | r)):  generator_prime(mag_d) - generator_prime(r)
+        right (D(r | z)):  mag_d**(beta - 2) * (mag_d - r)
+        left  (D(z | r)):  g'(mag_d) - g'(r), g' the generator's derivative
 
     Args:
         spec: DivergenceSpec selecting beta and direction.
@@ -176,7 +155,7 @@ def grad_term(spec, target, mag_d):
 def _target_term(spec, target):
     """The target's share of :func:`grad_term`, computed once per target.
 
-    The target itself for "right", generator_prime(target) for "left".
+    The target itself for "right", the generator's g'(target) for "left".
     """
     if spec.direction == DIRECTION_RIGHT:
         return target

@@ -48,8 +48,3 @@ def sdr(reference, estimate):
     if dist < 1e-12 * ref_norm:
         return SDR_CAP_DB
     return 20.0 * np.log10(ref_norm / dist)
-
-
-def sdri(reference, estimate, baseline):
-    """SDR improvement of estimate over baseline, in dB."""
-    return sdr(reference, estimate) - sdr(reference, baseline)

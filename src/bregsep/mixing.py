@@ -65,7 +65,8 @@ def mix_at_snr(speech, noise, snr_db):
 
     The noise is multiplied by alpha = (||speech|| / ||noise||) *
     10**(-snr_db / 20), which makes 10 log10(E_speech / E_scaled_noise)
-    equal snr_db to machine precision.
+    equal snr_db to machine precision.  An SNR at which that energy is below
+    the smallest normal float is rejected.
 
     Args:
         speech: speech Signal.
@@ -86,6 +87,9 @@ def mix_at_snr(speech, noise, snr_db):
     if speech_norm == 0.0 or noise_norm == 0.0:
         raise ValueError("cannot set an SNR with a zero-energy signal")
     alpha = speech_norm / noise_norm * 10.0 ** (-snr_db / 20.0)
+    # the scaled noise's energy, (alpha ||noise||)^2, must be a normal float
+    if alpha * noise_norm < np.sqrt(np.finfo(float).tiny):
+        raise ValueError("snr_db %g underflows the scaled noise's energy" % snr_db)
     scaled = Signal(alpha * noise.samples, noise.sample_rate)
     mixture = Signal(speech.samples + scaled.samples, speech.sample_rate)
     return mixture, scaled

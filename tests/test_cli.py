@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import platform
 import signal
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestMix:
         assert "snr_db must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snr_whose_noise_underflows_rejected(self, wavs, capsys):
+        out = wavs["dir"] / "mixture.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([
+                "mix", "--speech", wavs["speech"], "--noise", wavs["noise"],
+                "--snr", "1e308", "--out", str(out),
+            ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert "snr_db 1e+308 underflows" in captured.err
+
 
 class TestSeparate:
     def test_amplitude_mask_is_its_own_baseline(self, wavs, capsys):
@@ -238,9 +252,10 @@ class TestSeparate:
         "flag, message",
         [
             ("--snr=inf", "snr_db must be finite"),
+            ("--snr=1e308", "snr_db 1e+308 underflows"),
             ("--sigma=nan", "sigma must be finite"),
         ],
-        ids=["snr", "sigma"],
+        ids=["snr", "snr_underflow", "sigma"],
     )
     def test_nonfinite_mixing_input_rejected(self, wavs, capsys, flag, message):
         code = _separate([
@@ -732,6 +747,20 @@ class TestSweep:
         assert "manifest line 3: snr_db must be finite" in captured.err
         assert captured.out == ""
 
+    def test_manifest_snr_whose_noise_underflows_rejected(self, tmp_path, capsys):
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("far", "tone.wav", "noise.wav", 4000.0, 1, "validation"),
+        ])
+        out = tmp_path / "none.csv"
+        code = cli.main(["sweep", "--manifest", str(manifest), "--csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "snr_db 4000 underflows" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_negative_manifest_seed_rejected_before_any_run(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -770,6 +799,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, value", [
         ("--betas", "2,2"),
+        # held as the limit 1 by DivergenceSpec, so the same cells
+        ("--betas", "1,0.999999999"),
         ("--step-sizes", "1,1.0"),
         ("--directions", "left,left"),
         ("--d-values", "1,1"),
@@ -784,6 +815,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("key, value", [
         ("betas", "2,2"),
+        ("betas", "0,1e-9"),
         ("step_sizes", "1,1.0"),
         ("directions", "left,left"),
         ("d_values", "1,1"),

@@ -8,10 +8,10 @@ import pytest
 from bregsep import divergence
 from bregsep.divergence import (
     DivergenceSpec,
+    _bregman,
+    _generator,
+    _generator_prime,
     bregman,
-    generator,
-    generator_prime,
-    generator_second,
     grad_term,
     objective,
 )
@@ -34,34 +34,43 @@ def _direct_divergence(beta, r, z):
 
 
 class TestGenerator:
+    """The private generator cores, and their domain as the public bregman
+    (its r) and grad_term (its mag_d) check it."""
+
     def test_frozen_values(self):
-        assert generator(2, 3.0) == pytest.approx(4.5, abs=1e-12)
-        assert generator(1, 1.0) == pytest.approx(-1.0, abs=1e-12)
-        assert generator(0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert _generator(2.0, 3.0) == pytest.approx(4.5, abs=1e-12)
+        assert _generator(1.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
+        assert _generator(0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_derivative_is_power_law(self):
+        # the right direction's weight on mag_d - r is the generator's
+        # second derivative
         for beta in (0.0, 0.5, 1.0, 1.5, 2.0):
-            assert generator_second(beta, 2.0) == pytest.approx(
-                2.0 ** (beta - 2.0), rel=1e-12
-            )
+            got = grad_term(DivergenceSpec(beta), np.array([[1.0]]), np.array([[2.0]]))
+            assert got[0, 0] == pytest.approx(2.0 ** (beta - 2.0), rel=1e-12)
 
     def test_domain_errors(self):
-        for fn in (generator, generator_prime, generator_second):
+        z = np.ones(2)
+        for beta, x in ((1.0, [0.0, 1.0]), (0.5, [1.0, 0.0]), (2.0, [-1.0, 1.0])):
+            x = np.array(x)
             with pytest.raises(ValueError):
-                fn(1.0, 0.0)
-            with pytest.raises(ValueError):
-                fn(0.5, np.array([1.0, 0.0]))
-            with pytest.raises(ValueError):
-                fn(2.0, -1.0)
-        # fine above beta = 1
-        assert float(generator(2.0, 0.0)) == 0.0
+                bregman(beta, x, z)
+            for direction in ("right", "left"):
+                with pytest.raises(ValueError):
+                    grad_term(DivergenceSpec(beta, direction), z[None], x[None])
+        # fine above beta = 1: g(0) = 0, so D(0 | 1) = 0 - 1/2 + 1
+        assert float(_generator(2.0, 0.0)) == 0.0
+        assert bregman(2.0, np.zeros(1), np.ones(1)) == 0.5
+        at_zero = grad_term(DivergenceSpec(2.0), np.ones((1, 1)), np.zeros((1, 1)))
+        assert at_zero[0, 0] == -1.0
 
     def test_second_matches_fd_of_prime(self):
         xs = np.linspace(0.1, 10.0, 40)
         h = 1e-6
         for beta in BETA_GRID:
-            fd = (generator_prime(beta, xs + h) - generator_prime(beta, xs - h)) / (2 * h)
-            exact = generator_second(beta, xs)
+            prime = _generator_prime(beta, xs + h) - _generator_prime(beta, xs - h)
+            fd = prime / (2 * h)
+            exact = xs ** (beta - 2.0)
             assert np.max(np.abs(fd - exact) / np.abs(exact)) < 1e-6
 
 
@@ -123,11 +132,12 @@ class TestBregman:
         r = np.array([[2.0], [2.0]])
         z = np.array([[1.0], [1.0]])
         w = np.array([[1.0], [2.0]])
-        assert bregman(2, r, z, weights=w) == pytest.approx(1.5 * bregman(2, r, z))
+        assert _bregman(2.0, r, z, w) == pytest.approx(1.5 * bregman(2, r, z))
 
 
 class TestBetaNearLimits:
-    """A beta within rounding of 0 or 1 reads that limit's closed form."""
+    """A beta within rounding of 0 or 1 reads that limit's closed form, and
+    DivergenceSpec holds it as that limit."""
 
     R = np.array([1.0, 3.0])
     Z = np.array([2.0, 0.5])
@@ -141,14 +151,14 @@ class TestBetaNearLimits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bregman(beta, self.R, self.Z)
-            left = grad_term(DivergenceSpec(beta, "left"), self.R, self.Z)
-            prime = generator_prime(beta, self.Z)
+            spec = DivergenceSpec(beta, "left")
+            left = grad_term(spec, self.R, self.Z)
+        assert spec.beta == limit
         assert got >= 0.0
         assert abs(got - _direct_divergence(limit, self.R, self.Z)) <= 1e-7
         # the left direction's integrand: g'(z) - g'(r)
-        want = generator_prime(limit, self.Z) - generator_prime(limit, self.R)
+        want = _generator_prime(limit, self.Z) - _generator_prime(limit, self.R)
         assert np.max(np.abs(left - want)) <= 1e-7
-        assert np.max(np.abs(prime - generator_prime(limit, self.Z))) <= 1e-7
 
     @pytest.mark.parametrize("beta, limit", [
         (2e-8, 0.0), (1.0 - 2e-8, 1.0), (1.0 + 2e-8, 1.0),

@@ -16,14 +16,30 @@
   the workers' norms are metrics._norm.  np.linalg.norm stays only on the
   main process's mixing paths in mixing.py and cli.py, which keep mixtures
   bit-identical.
+- The public API is what the library, the benchmark and the oracles use:
+  every name in bregsep.__all__ is called in the package outside its own
+  definition, used by bench/, or on a short list of oracles and types.  The
+  names bench/layers.py probes stay public, and the names it patches in
+  bregsep.cli stay names that cli.py calls.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import bregsep
+from bregsep import cli
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bregsep"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 WHOLE_ARRAY = {"stft", "istft", "ComplexSpectrogram"}
+# public though nothing in the package calls them: the whole-array transform
+# and the divergence and its objective are the acceptance tests' oracles;
+# the records and the error are the types the library hands out or raises
+ORACLES_AND_TYPES = {
+    "stft", "istft", "ComplexSpectrogram", "bregman", "objective",
+    "Measurements", "SeparationResult", "PgdStart", "NotColaError",
+}
 
 
 def _modules_matching(pattern):
@@ -107,3 +123,87 @@ def test_blas_norm_only_on_the_mixing_paths():
     assert users <= {"mixing.py", "cli.py"}
     # the check sees the calls the mixing paths keep
     assert "mixing.py" in users
+
+
+def _called_names(path):
+    """Names the module calls, as f(...) or x.f(...), outside the body of
+    the function or class that defines the name."""
+    tree = ast.parse(path.read_text())
+    spans = {
+        node.name: (node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            first, last = spans.get(name, (0, -1))
+            if not first <= node.lineno <= last:
+                called.add(name)
+    return called
+
+
+def _bregsep_names(path):
+    """Names the bench module takes from bregsep: imported from it, or read
+    as attributes of the package under any name bound to it."""
+    tree = ast.parse(path.read_text())
+    package = {"bregsep"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            package |= {a.asname or a.name for a in node.names if a.name == "bregsep"}
+        elif (
+            isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+            and node.value.id in package
+        ):
+            package |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bregsep"):
+            names |= {a.name for a in node.names}
+        elif (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in package
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used():
+    called = set().union(*(_called_names(path) for path in PACKAGE.glob("*.py")))
+    benched = set().union(*(_bregsep_names(path) for path in BENCH.glob("*.py")))
+    unused = set(bregsep.__all__) - called - benched - ORACLES_AND_TYPES
+    assert not unused
+    # the check sees the layers' probes and the library's calls
+    assert {"grad_term", "normalization_constant"} <= benched - called
+    assert {"projected_gradient", "sdr"} <= called
+
+
+def test_probed_names_are_public():
+    probed = _bregsep_names(BENCH / "layers.py") - {"cli"}
+    assert len(probed) >= 15
+    assert probed <= set(bregsep.__all__)
+
+
+def _spanned():
+    """The SPANNED dict of bench/layers.py, read from its source."""
+    for node in ast.parse((BENCH / "layers.py").read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if targets == ["SPANNED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/layers.py defines no SPANNED")
+
+
+def test_spanned_names_are_called_by_the_cli():
+    # the traced runs patch these names in bregsep.cli, so cli.py must hold
+    # them and call them by those names
+    spanned = set(_spanned())
+    assert "projected_gradient" in spanned
+    assert all(hasattr(cli, name) for name in spanned)
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    by_name = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert spanned <= by_name

@@ -30,7 +30,8 @@ class TestMixAtSnr:
         rng = np.random.default_rng(SEED + 1)
         speech = Signal(rng.standard_normal(3000) * 0.3)
         noise = Signal(rng.standard_normal(3000) * 7.0)
-        for target in (-5.0, 0.0, 12.5):
+        # 3000 dB is about 100 dB below where the scaled noise underflows
+        for target in (-5.0, 0.0, 12.5, 3000.0):
             _, scaled = mix_at_snr(speech, noise, target)
             assert abs(_snr_db(speech.samples, scaled.samples) - target) < 1e-9
 
@@ -52,6 +53,16 @@ class TestMixAtSnr:
     def test_nonfinite_snr_rejected(self, snr):
         with pytest.raises(ValueError, match="snr_db must be finite"):
             mix_at_snr(Signal(np.ones(10)), Signal(np.ones(10)), snr)
+
+    @pytest.mark.parametrize("snr", [3150.0, 3200.0, 3300.0])
+    def test_snr_whose_noise_energy_underflows_rejected(self, snr):
+        # the scaled noise's energy is subnormal at 3150 and 3200 dB and 0
+        # at 3300 dB, so the SNR would not be the one asked for
+        rng = np.random.default_rng(SEED + 9)
+        speech = Signal(rng.standard_normal(32000))
+        noise = Signal(rng.standard_normal(32000))
+        with pytest.raises(ValueError, match="snr_db %g underflows" % snr):
+            mix_at_snr(speech, noise, snr)
 
 
 class TestAlignNoise:

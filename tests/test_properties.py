@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bregsep import solvers, transform
-from bregsep.divergence import EPS_FLOOR, DivergenceSpec, bregman, grad_term, objective
+from bregsep.divergence import (
+    EPS_FLOOR,
+    DivergenceSpec,
+    _bregman,
+    grad_term,
+    objective,
+)
 from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
     SolverConfig,
@@ -608,13 +614,14 @@ def test_phase_synthesis_equals_complex_division(
 
 def _objective_whole_array(spec, measurements, signal, config):
     """The objective written out on the whole-array stft: the floored
-    |S|^d against the floored measurements, one weighted Bregman sum."""
+    |S|^d against the floored measurements, one weighted sum of the
+    Bregman core."""
     mag_d = np.maximum(np.abs(stft(signal, config).data), EPS_FLOOR) ** spec.d
     target = np.maximum(measurements.data, EPS_FLOOR)
     weights = symmetry_weights(config)[:, None]
     if spec.direction == "right":
-        return bregman(spec.beta, target, mag_d, weights)
-    return bregman(spec.beta, mag_d, target, weights)
+        return _bregman(spec.beta, target, mag_d, weights)
+    return _bregman(spec.beta, mag_d, target, weights)
 
 
 # The objective streams through the transform kernel and sums block by

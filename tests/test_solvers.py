@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bregsep import solvers
-from bregsep.divergence import EPS_FLOOR, DivergenceSpec, generator_prime, objective
+from bregsep.divergence import EPS_FLOOR, DivergenceSpec, _generator_prime, objective
 from bregsep.mixing import ProviderSpec, provide_spectrograms
 from bregsep.solvers import (
     SolverConfig,
@@ -752,7 +752,7 @@ class TestPreparedTarget:
         right = solvers._prepared_target(DivergenceSpec(0.5, "right"), meas)
         left = solvers._prepared_target(DivergenceSpec(0.5, "left"), meas)
         assert np.array_equal(right, floored)
-        assert np.array_equal(left, generator_prime(0.5, floored))
+        assert np.array_equal(left, _generator_prime(0.5, floored))
         assert np.array_equal(meas.data, kept)
 
     @pytest.mark.parametrize("direction", ["right", "left"])
