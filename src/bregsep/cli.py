@@ -327,26 +327,24 @@ def _cmd_mix(ns):
     return 0
 
 
-# one separation problem and the settings of its cells: the identity fields
-# of its rows, a mixture's measurements at exponent d and their
-# amplitude-mask init.  _run_cell runs a cell of it; _sweep_group a group
+# one separation problem: the identity fields of its rows, a mixture's
+# measurements (which carry the exponent d) and their amplitude-mask init.
+# _run_cell runs a cell of it; _sweep_group a group
 _Block = namedtuple(
     "_Block",
     "mixture_id snr_db seed sigma speech mixture measurements init sdr_init "
-    "d steps iterations stft_config",
+    "stft_config",
 )
 
 
-def _block(
-    mixture_id, snr_db, seed, signals, provider, d, steps, iterations, stft_config
-):
+def _block(mixture_id, snr_db, seed, signals, provider, d, stft_config):
     """The _Block of (speech, scaled noise, mixture) signals at exponent d."""
     speech, scaled, mixture = signals
     measurements = provide_spectrograms([speech, scaled], provider, d, stft_config)
     init = amplitude_mask_init(measurements, mixture, stft_config)
     return _Block(
         mixture_id, snr_db, seed, provider.sigma, speech, mixture, measurements,
-        init, sdr(speech, init[0]), d, steps, iterations, stft_config,
+        init, sdr(speech, init[0]), stft_config,
     )
 
 
@@ -409,7 +407,7 @@ def _cmd_separate(ns):
         mixture_id, ns["snr"], ns["seed"],
         _load_pair(ns["speech"], ns["noise"], ns["snr"], ns["seed"]),
         ProviderSpec(ns["provider"], ns["sigma"], ns["seed"]), ns["d"],
-        [solver.step_size], solver.iterations, StftConfig(ns["win"], ns["hop"]),
+        StftConfig(ns["win"], ns["hop"]),
     )
     row, estimates = _run_cell(block, algo, solver)
     line = _ROW_FORMAT % row
@@ -527,13 +525,13 @@ def _sweep_group(block, task):
 
     Args:
         block: the (mixture, d) _Block.
-        task: (beta, direction).
+        task: (beta, direction, steps, iterations).
 
     Returns:
         The group's Rows, in step-size order.
     """
-    beta, direction = task
-    spec = DivergenceSpec(beta, direction, block.d)
+    beta, direction, steps, iterations = task
+    spec = DivergenceSpec(beta, direction, block.measurements[0].d)
     # shared by every step size; the first cell that iterates computes the
     # first direction in it for all of them
     start = pgd_start(
@@ -542,8 +540,8 @@ def _sweep_group(block, task):
     # each cell's estimates are dropped at once: held into the next cell,
     # next to the shared start, they raised the sweep's peak memory
     return [
-        _run_cell(block, "pgd", SolverConfig(spec, step, block.iterations), start)[0]
-        for step in block.steps
+        _run_cell(block, "pgd", SolverConfig(spec, step, iterations), start)[0]
+        for step in steps
     ]
 
 
@@ -641,7 +639,7 @@ def _distinct_groups(betas, directions):
     last.
 
     Returns:
-        Dict mapping each (beta, direction) task to its Rows' directions.
+        Dict mapping each (beta, direction) group to its Rows' directions.
     """
     groups = {}
     for beta in sorted(betas, reverse=True):
@@ -663,6 +661,7 @@ def _cmd_sweep(ns):
         raise ValueError("step sizes must be positive and finite")
     stft_config = StftConfig(ns["win"], ns["hop"])
     groups = _distinct_groups(betas, ns["directions"])
+    tasks = [group + (steps, ns["iterations"]) for group in groups]
     records = []
     for row in rows:
         signals = _load_pair(row["speech"], row["noise"], row["snr_db"], row["seed"])
@@ -671,9 +670,9 @@ def _cmd_sweep(ns):
         for d in ns["d_values"]:
             block = _block(
                 row["mixture_id"], row["snr_db"], row["seed"], signals, provider,
-                d, steps, ns["iterations"], stft_config,
+                d, stft_config,
             )
-            ran = _run_groups(block, list(groups))
+            ran = _run_groups(block, tasks)
             for group_rows, labels in zip(ran, groups.values()):
                 records.extend(
                     r._replace(direction=label) for r in group_rows for label in labels

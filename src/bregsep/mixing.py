@@ -66,7 +66,8 @@ def mix_at_snr(speech, noise, snr_db):
     The noise is multiplied by alpha = (||speech|| / ||noise||) *
     10**(-snr_db / 20), which makes 10 log10(E_speech / E_scaled_noise)
     equal snr_db to machine precision.  An SNR at which that energy is below
-    the smallest normal float is rejected.
+    the smallest normal float, or above the largest float, is rejected (as is
+    an SNR whose gain 10**(-snr_db / 20) alone is above the largest float).
 
     Args:
         speech: speech Signal.
@@ -86,10 +87,17 @@ def mix_at_snr(speech, noise, snr_db):
     noise_norm = float(np.linalg.norm(noise.samples))
     if speech_norm == 0.0 or noise_norm == 0.0:
         raise ValueError("cannot set an SNR with a zero-energy signal")
-    alpha = speech_norm / noise_norm * 10.0 ** (-snr_db / 20.0)
+    try:
+        gain = 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        gain = np.inf
+    alpha = speech_norm / noise_norm * gain
     # the scaled noise's energy, (alpha ||noise||)^2, must be a normal float
-    if alpha * noise_norm < np.sqrt(np.finfo(float).tiny):
+    scaled_norm = alpha * noise_norm
+    if scaled_norm < np.sqrt(np.finfo(float).tiny):
         raise ValueError("snr_db %g underflows the scaled noise's energy" % snr_db)
+    if scaled_norm > np.sqrt(np.finfo(float).max):
+        raise ValueError("snr_db %g overflows the scaled noise's energy" % snr_db)
     scaled = Signal(alpha * noise.samples, noise.sample_rate)
     mixture = Signal(speech.samples + scaled.samples, speech.sample_rate)
     return mixture, scaled
@@ -124,10 +132,13 @@ def provide_spectrograms(sources, provider, d, config):
 
         def measure(block, frames, spectrum):
             np.abs(spectrum, out=block)
-            if noise is not None:
-                block *= np.exp(provider.sigma * noise[:, frames])
-            if d == 2:
-                np.square(block, out=block)
+            # past the largest float a bin reads inf or nan, which
+            # Measurements rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                if noise is not None:
+                    block *= np.exp(provider.sigma * noise[:, frames])
+                if d == 2:
+                    np.square(block, out=block)
 
         out.append(Measurements(_float_spectrogram(source.samples, config, measure), d))
     return out

@@ -50,6 +50,10 @@ class Signal:
 
     samples: 1-D float64 array, finite-valued.
     sample_rate: positive integer, metadata only (no resampling happens).
+
+    The samples are checked once, here.  A float64 array is held without a
+    copy, so a later write through .samples, or through the caller's own
+    reference to the array, is not checked again.
     """
 
     samples: np.ndarray
@@ -167,7 +171,12 @@ class StftConfig:
 
 @dataclass(frozen=True, eq=False)
 class ComplexSpectrogram:
-    """One-sided complex STFT values on an (n_bins, n_frames) grid."""
+    """One-sided complex STFT values on an (n_bins, n_frames) grid.
+
+    The data are checked once, here.  A complex128 array is held without a
+    copy, so a later write through .data, or through the caller's own
+    reference to the array, is not checked again.
+    """
 
     data: np.ndarray
     config: StftConfig
@@ -194,6 +203,10 @@ class Measurements:
     frame-major in memory (Fortran order).  Data in another layout, such as
     a C-ordered (bins, frames) array, is copied into it once here, so the
     solvers never mix layouts inside their loops.
+
+    The data are checked once, here.  A float64 array already in that layout
+    is held without a copy, so a later write through .data, or through the
+    caller's own reference to the array, is not checked again.
     """
 
     data: np.ndarray

@@ -5,6 +5,7 @@ import platform
 import signal
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestMix:
         assert captured.out == "" and not out.exists()
         assert "snr_db 1e+308 underflows" in captured.err
 
+    def test_snr_whose_noise_overflows_rejected(self, wavs, capsys):
+        out = wavs["dir"] / "mixture.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([
+                "mix", "--speech", wavs["speech"], "--noise", wavs["noise"],
+                "--snr", "-6200", "--out", str(out),
+            ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert "snr_db -6200 overflows" in captured.err
+
 
 class TestSeparate:
     def test_amplitude_mask_is_its_own_baseline(self, wavs, capsys):
@@ -253,9 +267,10 @@ class TestSeparate:
         [
             ("--snr=inf", "snr_db must be finite"),
             ("--snr=1e308", "snr_db 1e+308 underflows"),
+            ("--snr=-6100", "snr_db -6100 overflows"),
             ("--sigma=nan", "sigma must be finite"),
         ],
-        ids=["snr", "snr_underflow", "sigma"],
+        ids=["snr", "snr_underflow", "snr_overflow", "sigma"],
     )
     def test_nonfinite_mixing_input_rejected(self, wavs, capsys, flag, message):
         code = _separate([
@@ -369,6 +384,125 @@ class TestBadWavNamed:
         code = cli.main(["eval", "--ref", wavs["speech"], "--est", str(bad)])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+
+def _truncated_wav(path):
+    _write_tone(path, 440.0)
+    path.write_bytes(path.read_bytes()[:30])
+
+
+def _half_silent_wav(path):
+    # one second whose first half is digital silence: exact-zero bins
+    t = np.arange(RATE) / RATE
+    samples = 0.4 * np.sin(2.0 * np.pi * 440.0 * t)
+    samples[: RATE // 2] = 0.0
+    write_wav(path, Signal(samples, RATE))
+
+
+# how each kind of WAV in AWKWARD_INPUTS is written; "missing" writes none
+_AWKWARD_WAVS = {
+    "tone": lambda path: _write_tone(path, 440.0),
+    "noise": lambda path: _write_noise(path, seed=7),
+    "silence": lambda path: write_wav(path, Signal(np.zeros(4000), RATE)),
+    "tone at 8 kHz": lambda path: write_wav(path, Signal(np.full(4000, 0.25), 8000)),
+    "uint8": lambda path: wavfile.write(path, RATE, np.full(4000, 200, np.uint8)),
+    "int32": lambda path: wavfile.write(path, RATE, np.full(4000, 1 << 20, np.int32)),
+    "float64": lambda path: wavfile.write(path, RATE, np.full(4000, 0.25)),
+    "stereo": lambda path: wavfile.write(path, RATE, np.full((4000, 2), 99, np.int16)),
+    "truncated": _truncated_wav,
+    "empty": lambda path: wavfile.write(path, RATE, np.zeros(0, np.int16)),
+    "missing": lambda path: None,
+    "10 samples": lambda path: _write_tone(path, 440.0, length=10),
+    "1 sample": lambda path: write_wav(path, Signal(np.array([0.25]), RATE)),
+    "half silent": _half_silent_wav,
+    "long tone": lambda path: _write_tone(path, 440.0, length=12000),
+}
+
+# Awkward inputs through `separate` (at --win 256 --hop 64 unless a flag
+# says otherwise) and the outcome each one has: (case, speech WAV, noise
+# WAV, flags, exit code, outcome).  The outcome is the leading words of the
+# error message, with {speech} and {noise} the files' paths, or the row's
+# status.  The README's "Defined behaviour" table names the same cases.
+AWKWARD_INPUTS = [
+    ("zero-energy speech", "silence", "noise", (), 2,
+     "cannot set an SNR with a zero-energy signal"),
+    ("zero-energy noise", "tone", "silence", (), 2,
+     "cannot set an SNR with a zero-energy signal"),
+    ("mismatched sample rates", "tone at 8 kHz", "noise", (), 2,
+     "speech and noise sample rates differ"),
+    ("uint8 WAV", "uint8", "noise", (), 2, "{speech}: unsupported encoding uint8"),
+    ("int32 WAV", "int32", "noise", (), 2, "{speech}: unsupported encoding int32"),
+    ("float64 WAV", "float64", "noise", (), 2,
+     "{speech}: unsupported encoding float64"),
+    ("stereo WAV", "stereo", "noise", (), 2, "{speech} has 2 channels"),
+    ("truncated WAV", "truncated", "noise", (), 2,
+     "malformed or unreadable WAV file {speech}"),
+    ("WAV without samples", "empty", "noise", (), 2, "{speech} holds no samples"),
+    ("missing speech file", "missing", "noise", (), 2,
+     "[Errno 2] No such file or directory: '{speech}'"),
+    ("missing noise file", "tone", "missing", (), 2,
+     "[Errno 2] No such file or directory: '{noise}'"),
+    ("non-COLA hop", "tone", "noise", ("--hop", "128"), 2,
+     "squared window does not overlap-add to a constant"),
+    ("hop that does not divide the window", "tone", "noise", ("--hop", "100"), 2,
+     "win_length must be a multiple of hop"),
+    ("odd window", "tone", "noise", ("--win", "255", "--hop", "85"), 2,
+     "win_length must be an even integer >= 2"),
+    ("NaN beta", "tone", "noise", ("--beta", "nan"), 2, "beta must lie in [0, 2]"),
+    ("comma in mixture_id", "tone", "noise", ("--mixture-id", "a,b"), 2,
+     "mixture_id must be non-empty, without comma"),
+    ("non-integer iteration count", "tone", "noise", ("--iterations", "1e9"), 2,
+     "argument --iterations: invalid literal for int()"),
+    ("measurements that overflow", "tone", "noise",
+     ("--provider", "noisy_oracle", "--sigma", "800"), 2,
+     "measurements must be finite"),
+    ("10-sample clip", "10 samples", "noise", (), 0, "ok"),
+    ("1-sample clip", "1 sample", "noise", (), 0, "ok"),
+    ("2-sample window", "tone", "noise", ("--win", "2", "--hop", "1"), 0, "ok"),
+    ("noise shorter than the speech", "long tone", "noise", (), 0, "ok"),
+    ("half a second of digital silence", "half silent", "noise",
+     ("--beta", "0", "--d", "2", "--direction", "left"), 0, "diverged"),
+    ("step size 1e300", "tone", "noise", ("--step-size", "1e300"), 0, "diverged"),
+    ("SNR whose noise energy underflows", "tone", "noise", ("--snr", "1e308"), 2,
+     "snr_db 1e+308 underflows the scaled noise's energy"),
+    ("SNR whose noise energy overflows", "tone", "noise", ("--snr", "-6100"), 2,
+     "snr_db -6100 overflows the scaled noise's energy"),
+]
+
+
+@pytest.mark.parametrize(
+    "speech, noise, flags, code, outcome",
+    [case[1:] for case in AWKWARD_INPUTS],
+    ids=[case[0] for case in AWKWARD_INPUTS],
+)
+def test_awkward_input_has_its_defined_outcome(
+    tmp_path, capsys, speech, noise, flags, code, outcome
+):
+    paths = {"speech": str(tmp_path / "speech.wav"), "noise": str(tmp_path / "noise.wav")}
+    _AWKWARD_WAVS[speech](tmp_path / "speech.wav")
+    _AWKWARD_WAVS[noise](tmp_path / "noise.wav")
+    try:
+        got = _separate(["--speech", paths["speech"], "--noise", paths["noise"], *flags])
+    except SystemExit as exit_:
+        # argparse rejects the flag
+        got = exit_.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert _row_fields(captured.out)["status"] == outcome
+    else:
+        assert captured.out == ""
+        message = captured.err.strip().split("\n")[-1].split("error: ", 1)[1]
+        assert message.startswith(outcome.format(**paths))
+
+
+def test_readme_names_the_awkward_inputs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Defined behaviour\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    # after the header and the separator rows, each row's first cell
+    cases = [row.split("|")[1].strip() for row in rows[2:]]
+    assert cases == [case[0] for case in AWKWARD_INPUTS]
 
 
 class TestConfigFile:
@@ -761,6 +895,20 @@ class TestSweep:
         assert "snr_db 4000 underflows" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_manifest_snr_whose_noise_overflows_rejected(self, tmp_path, capsys):
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("loud", "tone.wav", "noise.wav", -6100.0, 1, "validation"),
+        ])
+        out = tmp_path / "none.csv"
+        code = cli.main(["sweep", "--manifest", str(manifest), "--csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "snr_db -6100 overflows" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_negative_manifest_seed_rejected_before_any_run(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -928,7 +1076,7 @@ class TestParallelSweep:
         original = cli._sweep_group
 
         def recorded(block, task):
-            (ran / ("%d-%s-%s" % ((os.getpid(),) + task))).touch()
+            (ran / ("%d-%s-%s" % ((os.getpid(),) + task[:2]))).touch()
             return original(block, task)
 
         monkeypatch.setattr(cli, "_sweep_group", recorded)
@@ -949,7 +1097,7 @@ class TestParallelSweep:
         _two_workers(monkeypatch)
 
         def failing(block, task):
-            raise ValueError("group %s failed" % (task,))
+            raise ValueError("group %s failed" % (task[:2],))
 
         monkeypatch.setattr(cli, "_sweep_group", failing)
         code, out = _grid_sweep(parallel_setup, "grid.csv")
@@ -967,7 +1115,7 @@ class TestParallelSweep:
         def interrupting(block, task):
             # once: the first group's result is what the parent waits for;
             # groups start by beta descending
-            if task == (1.5, "right"):
+            if task[:2] == (1.5, "right"):
                 os.kill(parent, signal.SIGINT)
             return []
 
@@ -1088,7 +1236,7 @@ class TestDistinctSweepGroups:
         original = cli._sweep_group
 
         def recorded(block, task):
-            tasks.append(task)
+            tasks.append(task[:2])
             return original(block, task)
 
         monkeypatch.setattr(cli, "_sweep_group", recorded)

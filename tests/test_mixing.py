@@ -30,8 +30,9 @@ class TestMixAtSnr:
         rng = np.random.default_rng(SEED + 1)
         speech = Signal(rng.standard_normal(3000) * 0.3)
         noise = Signal(rng.standard_normal(3000) * 7.0)
-        # 3000 dB is about 100 dB below where the scaled noise underflows
-        for target in (-5.0, 0.0, 12.5, 3000.0):
+        # 3000 dB is about 100 dB below where the scaled noise underflows,
+        # -3000 dB about 50 dB above where it overflows
+        for target in (-3000.0, -5.0, 0.0, 12.5, 3000.0):
             _, scaled = mix_at_snr(speech, noise, target)
             assert abs(_snr_db(speech.samples, scaled.samples) - target) < 1e-9
 
@@ -62,6 +63,16 @@ class TestMixAtSnr:
         speech = Signal(rng.standard_normal(32000))
         noise = Signal(rng.standard_normal(32000))
         with pytest.raises(ValueError, match="snr_db %g underflows" % snr):
+            mix_at_snr(speech, noise, snr)
+
+    @pytest.mark.parametrize("snr", [-6100.0, -6200.0])
+    def test_snr_whose_noise_energy_overflows_rejected(self, snr):
+        # the scaled noise's energy is above the largest float at -6100 dB,
+        # and at -6200 dB the gain 10**(-snr / 20) is too
+        rng = np.random.default_rng(SEED + 9)
+        speech = Signal(rng.standard_normal(32000))
+        noise = Signal(rng.standard_normal(32000))
+        with pytest.raises(ValueError, match="snr_db %g overflows" % snr):
             mix_at_snr(speech, noise, snr)
 
 
