@@ -41,7 +41,7 @@ import numpy as np
 
 from .audio import load_wav, write_wav
 from .divergence import DivergenceSpec, _limit_beta
-from .metrics import sdr
+from .metrics import _norm, sdr
 from .mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from .solvers import (
     SolverConfig,
@@ -293,6 +293,23 @@ def _check_mixture_id(mixture_id):
     return mixture_id
 
 
+def _check_output_files(ns):
+    """Reject an output file (--csv, --out, --out-noise) that cannot be
+    written: a path that is a directory, or one in no existing directory.
+    Checked before any input is read, so a bad path costs no work."""
+    for dest in ("csv", "out", "out_noise"):
+        text = ns.get(dest)
+        if text is None:
+            continue
+        flag, path = "--" + dest.replace("_", "-"), Path(text)
+        if path.is_dir():
+            raise ValueError("%s %r is a directory" % (flag, text))
+        if not path.parent.is_dir():
+            raise ValueError(
+                "%s %r: directory %r does not exist" % (flag, text, str(path.parent))
+            )
+
+
 def _write_csv(path, lines):
     with open(path, "w", newline="") as handle:
         handle.write(CSV_HEADER + "\n")
@@ -320,9 +337,7 @@ def _cmd_mix(ns):
     write_wav(ns["out"], mixture)
     if ns["out_noise"]:
         write_wav(ns["out_noise"], scaled)
-    achieved = 20.0 * np.log10(
-        np.linalg.norm(speech.samples) / np.linalg.norm(scaled.samples)
-    )
+    achieved = 20.0 * np.log10(_norm(speech.samples) / _norm(scaled.samples))
     print("wrote %s snr_db=%.6f" % (ns["out"], achieved))
     return 0
 
@@ -727,6 +742,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
+        _check_output_files(resolved)
         return _COMMANDS[args.command](resolved)
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

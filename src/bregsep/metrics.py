@@ -12,14 +12,14 @@ SDR_CAP_DB = 240.0
 def _norm(samples):
     """Euclidean norm of a 1-D float array, summed by numpy, not by BLAS.
 
-    ``np.linalg.norm`` calls BLAS ``dot``, which OpenBLAS runs on several
-    threads above about 10 000 samples.  In the sweep's forked workers
-    those threads spin on the cores the other workers need.  On 2 vCPUs a
-    default-grid sweep of one 2 s mixture took 9.6-13.7 s with them, against
-    4.5-5.5 s serially and 3.2-3.8 s with this norm.  It is slower than
-    ``dot`` per call (19 against 9 us on 32 000 samples), far under 1 % of a
-    PGD iteration, and it can differ from it in the last bits.  An overflow
-    gives inf without a warning.
+    The package's one norm; no module calls BLAS, for two reasons.  OpenBLAS
+    runs ``dot`` on several threads above about 10 000 samples, which spin in
+    the sweep's forked workers on the cores the other workers need: on 2 vCPUs
+    a default-grid sweep of one 2 s mixture took 9.6-13.7 s with them, against
+    4.5-5.5 s serially and 3.2-3.8 s with this norm.  And BLAS's last bits
+    move with its thread count, which moved a mixture's bytes.  This is slower
+    than ``dot`` (19 against 9 us on 32 000 samples), far under 1 % of a PGD
+    iteration.  An overflow gives inf without a warning.
     """
     return math.sqrt(np.einsum("i,i->", samples, samples))
 

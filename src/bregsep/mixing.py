@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _norm
 from .transform import Measurements, Signal, _float_spectrogram
 
 PROVIDER_ORACLE = "oracle"
@@ -83,8 +84,8 @@ def mix_at_snr(speech, noise, snr_db):
         raise ValueError("speech and noise lengths differ (align the noise first)")
     if speech.sample_rate != noise.sample_rate:
         raise ValueError("speech and noise sample rates differ")
-    speech_norm = float(np.linalg.norm(speech.samples))
-    noise_norm = float(np.linalg.norm(noise.samples))
+    speech_norm = _norm(speech.samples)
+    noise_norm = _norm(noise.samples)
     if speech_norm == 0.0 or noise_norm == 0.0:
         raise ValueError("cannot set an SNR with a zero-energy signal")
     try:

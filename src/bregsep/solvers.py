@@ -318,7 +318,7 @@ def _energy_bound(measurements, mixture, config):
             per_bin = np.einsum("ij,ij->i", r.data, r.data)
         else:
             per_bin = r.data.sum(axis=1)
-        implied = max(implied, float(weights @ per_bin))
+        implied = max(implied, float(np.einsum("i,i->", weights, per_bin)))
     scale = max(_norm(mixture.samples), np.sqrt(implied / config.b))
     return ENERGY_BOUND_FACTOR * scale
 

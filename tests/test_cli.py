@@ -127,6 +127,27 @@ class TestMix:
         assert "snr_db must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, bad, message", [
+        ("--out-noise", "missing/scaled.wav", "directory 'missing' does not exist"),
+        ("--out-noise", ".", "is a directory"),
+        ("--out", "missing/mixture.wav", "directory 'missing' does not exist"),
+    ])
+    def test_unwritable_output_rejected_before_any_write(
+        self, wavs, capsys, monkeypatch, flag, bad, message
+    ):
+        monkeypatch.chdir(wavs["dir"])
+        before = set(wavs["dir"].rglob("*"))
+        outputs = {"--out": "mixture.wav", "--out-noise": "scaled.wav", flag: bad}
+        code = cli.main([
+            "mix", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            *(text for pair in outputs.items() for text in pair),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "%s %r" % (flag, bad) in captured.err and message in captured.err
+        assert set(wavs["dir"].rglob("*")) == before
+
     def test_snr_whose_noise_underflows_rejected(self, wavs, capsys):
         out = wavs["dir"] / "mixture.wav"
         with warnings.catch_warnings():
@@ -467,6 +488,8 @@ AWKWARD_INPUTS = [
      "snr_db 1e+308 underflows the scaled noise's energy"),
     ("SNR whose noise energy overflows", "tone", "noise", ("--snr", "-6100"), 2,
      "snr_db -6100 overflows the scaled noise's energy"),
+    ("CSV in a missing directory", "tone", "noise", ("--csv", "missing/row.csv"), 2,
+     "--csv 'missing/row.csv': directory 'missing' does not exist"),
 ]
 
 
@@ -476,11 +499,14 @@ AWKWARD_INPUTS = [
     ids=[case[0] for case in AWKWARD_INPUTS],
 )
 def test_awkward_input_has_its_defined_outcome(
-    tmp_path, capsys, speech, noise, flags, code, outcome
+    tmp_path, capsys, monkeypatch, speech, noise, flags, code, outcome
 ):
     paths = {"speech": str(tmp_path / "speech.wav"), "noise": str(tmp_path / "noise.wav")}
     _AWKWARD_WAVS[speech](tmp_path / "speech.wav")
     _AWKWARD_WAVS[noise](tmp_path / "noise.wav")
+    written = set(tmp_path.rglob("*"))
+    # relative output paths in the flags land here
+    monkeypatch.chdir(tmp_path)
     try:
         got = _separate(["--speech", paths["speech"], "--noise", paths["noise"], *flags])
     except SystemExit as exit_:
@@ -491,7 +517,9 @@ def test_awkward_input_has_its_defined_outcome(
     if code == 0:
         assert _row_fields(captured.out)["status"] == outcome
     else:
+        # an error prints no row and writes no file
         assert captured.out == ""
+        assert set(tmp_path.rglob("*")) == written
         message = captured.err.strip().split("\n")[-1].split("error: ", 1)[1]
         assert message.startswith(outcome.format(**paths))
 
@@ -807,6 +835,20 @@ class TestSweep:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 1 + 8
         assert runs == []
+
+    def test_csv_in_a_missing_directory_rejected_before_any_run(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        calls = []
+        monkeypatch.setattr(cli, "projected_gradient", lambda *a, **k: calls.append(1))
+        code, out = _sweep(sweep_setup, "missing/grid.csv")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--csv" in captured.err and "does not exist" in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
+        assert calls == []
 
     def test_negative_iterations_rejected(self, sweep_setup, capsys):
         with pytest.raises(SystemExit) as err:

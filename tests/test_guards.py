@@ -11,11 +11,11 @@
 - One spectrogram layout: only transform.py names the frame-major order
   (order="F", asfortranarray) that spectra and Measurements are held in;
   the providers fill their arrays through its _float_spectrogram.
-- No BLAS norm where the sweep's forked workers run: OpenBLAS threads
-  spinning in every worker slowed a default-grid sweep about threefold, so
-  the workers' norms are metrics._norm.  np.linalg.norm stays only on the
-  main process's mixing paths in mixing.py and cli.py, which keep mixtures
-  bit-identical.
+- No BLAS call anywhere: every norm is metrics._norm, and no module uses
+  linalg, the @ operator or a dot-like call.  OpenBLAS threads spin in the
+  sweep's forked workers (a default-grid sweep ran about threefold slower),
+  and a BLAS sum's last bits move with the thread count, which moved the
+  bytes of a mixture.
 - The public API is what the library, the benchmark and the oracles use:
   every name in bregsep.__all__ is called in the package outside its own
   definition, used by bench/, or on a short list of oracles and types.  The
@@ -103,26 +103,57 @@ def test_whole_array_analysis_only_in_transform():
     assert len(_whole_array_uses(PACKAGE / "transform.py")) >= len(WHOLE_ARRAY)
 
 
-def _linalg_norm_uses(path):
-    """Lines of the module's code that use a linalg norm: an attribute
-    x.linalg.norm or an import from a linalg module; strings do not count."""
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _blas_uses(text):
+    """(line, what) of each BLAS use in the code: a linalg name, attribute
+    or import, the @ operator, or a call named in BLAS_CALLS; strings and
+    decorators do not count."""
     uses = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if (
-            isinstance(node, ast.Attribute) and node.attr == "norm"
-            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
-        ) or (
-            isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and node.id == "linalg":
+            found = "linalg"
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found = "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            "linalg" in name
+            for name in [getattr(node, "module", "")] + [a.name for a in node.names]
+            if name
         ):
-            uses.append(node.lineno)
+            found = "linalg"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found = "@"
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in BLAS_CALLS
+            or getattr(node.func, "attr", None) in BLAS_CALLS
+        ):
+            found = getattr(node.func, "id", None) or node.func.attr
+        else:
+            continue
+        uses.append((node.lineno, found))
     return uses
 
 
-def test_blas_norm_only_on_the_mixing_paths():
-    users = {path.name for path in PACKAGE.glob("*.py") if _linalg_norm_uses(path)}
-    assert users <= {"mixing.py", "cli.py"}
-    # the check sees the calls the mixing paths keep
-    assert "mixing.py" in users
+def test_no_blas_in_the_package():
+    uses = {path.name: _blas_uses(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert not {name: found for name, found in uses.items() if found}
+    # the check sees each kind of use, and not a decorator or a string
+    seen = _blas_uses(
+        "import numpy.linalg\n"
+        "from scipy.linalg import norm\n"
+        "@cache\n"
+        "def f(a, b):\n"
+        "    'a @ b, np.dot'\n"
+        "    a @= b\n"
+        "    return np.linalg.norm(a @ b) + dot(a, b) + np.vdot(a, b) + a.dot(b)"
+        " + np.inner(a, b) + np.matmul(a, b) + np.tensordot(a, b)\n"
+    )
+    expected = ["linalg"] * 3 + ["@"] * 2 + ["dot"] * 2
+    expected += ["vdot", "inner", "matmul", "tensordot"]
+    assert sorted(found for _, found in seen) == sorted(expected)
 
 
 def _called_names(path):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,21 @@ from bregsep.transform import Measurements, Signal, StftConfig, stft
 
 SEED = 5151
 CFG = StftConfig(256, 64)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a 30 s pair on the float32 grid, mixed at 0 dB; prints the mixture's bytes
+_MIX_THE_PAIR = """
+import hashlib, numpy as np
+from bregsep.mixing import mix_at_snr
+from bregsep.transform import Signal
+rng = np.random.default_rng(23)
+speech, noise = (
+    Signal(rng.standard_normal(480000).astype(np.float32).astype(float) * 0.1)
+    for _ in range(2)
+)
+mixture, _ = mix_at_snr(speech, noise, 0.0)
+print(hashlib.sha256(mixture.samples.tobytes()).hexdigest())
+"""
 
 
 def _snr_db(speech, noise):
@@ -49,6 +68,20 @@ class TestMixAtSnr:
             mix_at_snr(Signal(np.zeros(10)), Signal(np.ones(10)), 0.0)
         with pytest.raises(ValueError):
             mix_at_snr(Signal(np.ones(10)), Signal(np.zeros(10)), 0.0)
+
+    def test_mixture_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS norm sums in an order set by its thread count, which moved
+        # this mixture's last bits between 1 and 2 OpenBLAS threads
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            run = subprocess.run(
+                [sys.executable, "-c", _MIX_THE_PAIR], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_snr_rejected(self, snr):
