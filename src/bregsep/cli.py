@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav, write_wav
-from .divergence import DivergenceSpec, _limit_beta
+from .divergence import DivergenceSpec
 from .metrics import _norm, sdr
 from .mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from .solvers import (
@@ -95,8 +95,8 @@ def _nonnegative(cast):
     return convert
 
 
-def _value_list(cast, held=lambda value: value):
-    """Build a converter for comma-separated lists whose held(value)s differ."""
+def _value_list(cast):
+    """Build a converter for comma-separated lists of distinct values."""
 
     def convert(text):
         parts = [p.strip() for p in str(text).split(",")]
@@ -106,62 +106,48 @@ def _value_list(cast, held=lambda value: value):
         values = [cast(p) for p in parts]
         for index, value in enumerate(values):
             # compared after the cast, so 1 and 1.0 are one value
-            if held(value) in map(held, values[:index]):
+            if value in values[:index]:
                 raise ValueError("repeated value %r" % parts[index])
         return values
 
     return convert
 
 
-_CONVERTERS = {
-    "algo": _choice(("amplitude_mask", "gl", "misi", "pgd")),
-    "beta": float,
-    # compared as DivergenceSpec holds them: 1 and 1 - 1e-9 are one value
-    "betas": _value_list(float, _limit_beta),
-    "csv": str,
-    "d": _choice((1, 2), int),
-    "d_values": _value_list(_choice((1, 2), int)),
-    "direction": _choice(("right", "left")),
-    "directions": _value_list(_choice(("right", "left"))),
-    "est": str,
-    "hop": int,
-    "iterations": _nonnegative(int),
-    "manifest": str,
-    "mixture_id": str,
-    "noise": str,
-    "out": str,
-    "out_dir": str,
-    "out_noise": str,
-    "provider": _choice(("oracle", "noisy_oracle")),
-    "ref": str,
-    "seed": _nonnegative(int),
-    "sigma": float,
-    "snr": float,
-    "speech": str,
-    "split": _choice(("validation", "test")),
-    "step_size": float,
-    "step_sizes": _value_list(float),
-    "win": int,
-}
+# one option of any subcommand: its converter, and its default (None: none)
+_Option = namedtuple("_Option", "convert default")
 
-_DEFAULTS = {
-    "algo": "pgd",
-    "beta": 2.0,
-    "betas": [0.25 * k for k in range(9)],
-    "d": 1,
-    "d_values": [1, 2],
-    "direction": "right",
-    "directions": ["right", "left"],
-    "hop": 256,
-    "iterations": 5,
-    "provider": "oracle",
-    "seed": 0,
-    "sigma": 0.0,
-    "snr": 0.0,
-    "split": "validation",
-    "step_size": 1.0,
-    "step_sizes": [float(v) for v in np.logspace(-4.0, 0.0, 9)],
-    "win": 1024,
+_OPTIONS = {
+    "algo": _Option(_choice(("amplitude_mask", "gl", "misi", "pgd")), "pgd"),
+    "beta": _Option(float, 2.0),
+    # checked and held as DivergenceSpec holds them: 1 and 1 - 1e-9 repeat
+    "betas": _Option(
+        _value_list(lambda text: DivergenceSpec(float(text)).beta),
+        [0.25 * k for k in range(9)],
+    ),
+    "csv": _Option(str, None),
+    "d": _Option(_choice((1, 2), int), 1),
+    "d_values": _Option(_value_list(_choice((1, 2), int)), [1, 2]),
+    "direction": _Option(_choice(("right", "left")), "right"),
+    "directions": _Option(_value_list(_choice(("right", "left"))), ["right", "left"]),
+    "est": _Option(str, None),
+    "hop": _Option(int, 256),
+    "iterations": _Option(_nonnegative(int), 5),
+    "manifest": _Option(str, None),
+    "mixture_id": _Option(str, None),
+    "noise": _Option(str, None),
+    "out": _Option(str, None),
+    "out_dir": _Option(str, None),
+    "out_noise": _Option(str, None),
+    "provider": _Option(_choice(("oracle", "noisy_oracle")), "oracle"),
+    "ref": _Option(str, None),
+    "seed": _Option(_nonnegative(int), 0),
+    "sigma": _Option(float, 0.0),
+    "snr": _Option(float, 0.0),
+    "speech": _Option(str, None),
+    "split": _Option(_choice(("validation", "test")), "validation"),
+    "step_size": _Option(float, 1.0),
+    "step_sizes": _Option(_value_list(float), np.logspace(-4.0, 0.0, 9).tolist()),
+    "win": _Option(int, 1024),
 }
 
 _SUBCOMMANDS = {
@@ -198,7 +184,7 @@ _SUBCOMMANDS = {
 
 def _flag_type(dest):
     """The converter of dest, with its message in argparse's error."""
-    convert = _CONVERTERS[dest]
+    convert = _OPTIONS[dest].convert
 
     def flag_type(text):
         try:
@@ -251,7 +237,7 @@ def _config_values(path, command):
     values = {}
     if parser.has_section("common"):
         for key, raw in parser.items("common"):
-            if key not in _CONVERTERS:
+            if key not in _OPTIONS:
                 raise ValueError("unknown config key '%s' in [common]" % key)
             if key in accepted:
                 values[key] = raw
@@ -272,11 +258,11 @@ def _resolve(args):
         value = getattr(args, dest)
         if value is None and dest in file_values:
             try:
-                value = _CONVERTERS[dest](file_values[dest])
+                value = _OPTIONS[dest].convert(file_values[dest])
             except ValueError as err:
                 raise ValueError("config key '%s': %s" % (dest, err))
         if value is None:
-            value = _DEFAULTS.get(dest)
+            value = _OPTIONS[dest].default
         resolved[dest] = value
     for dest in spec["required"]:
         if resolved.get(dest) is None:
@@ -668,15 +654,16 @@ def _cmd_sweep(ns):
     rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
     if not rows:
         raise ValueError("manifest has no rows for split '%s'" % ns["split"])
-    betas = ns["betas"]
     steps = ns["step_sizes"]
-    for beta in betas:
-        DivergenceSpec(beta)
     if not all(np.isfinite(step) and step > 0 for step in steps):
         raise ValueError("step sizes must be positive and finite")
     stft_config = StftConfig(ns["win"], ns["hop"])
-    groups = _distinct_groups(betas, ns["directions"])
+    groups = _distinct_groups(ns["betas"], ns["directions"])
     tasks = [group + (steps, ns["iterations"]) for group in groups]
+    # every row's pair is read and mixed once before any group runs, so a
+    # bad row fails the sweep at once; each pair is dropped, then read again
+    for row in rows:
+        _load_pair(row["speech"], row["noise"], row["snr_db"], row["seed"])
     records = []
     for row in rows:
         signals = _load_pair(row["speech"], row["noise"], row["snr_db"], row["seed"])

@@ -45,20 +45,18 @@ class SolverDivergedError(RuntimeError):
     """An iterate was non-finite or past the energy bound.
 
     iteration is the index of the first such iterate; reason is
-    "non-finite" or "energy bound".
+    "non-finite" or "energy bound".  Both are held once, as the error's
+    args, so the default pickling rebuilds it.
     """
 
     def __init__(self, iteration, reason):
-        super().__init__(
-            "solver diverged at iteration %d: %s" % (iteration, reason)
-        )
-        self.iteration = iteration
-        self.reason = reason
+        super().__init__(iteration, reason)
 
-    def __reduce__(self):
-        # the default pickles the message as the one argument, which
-        # __init__ cannot take back; errors cross the sweep's worker pool
-        return type(self), (self.iteration, self.reason)
+    iteration = property(lambda self: self.args[0])
+    reason = property(lambda self: self.args[1])
+
+    def __str__(self):
+        return "solver diverged at iteration %d: %s" % self.args
 
 
 def _check_iterations(iterations):

@@ -392,8 +392,6 @@ def istft(spectrogram, target_length):
     if target_length < 1:
         raise ValueError("target_length must be positive")
     config = spectrogram.config
-    if spectrogram.data.shape[0] != config.n_bins:
-        raise ValueError("spectrogram bin count inconsistent with config")
     buf = _buffer(spectrogram.data.shape[1], config)
     _overlap_add(spectrogram.data, config, buf, 0)
     return Signal(_trimmed(buf, config, target_length), spectrogram.sample_rate)

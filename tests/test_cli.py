@@ -17,8 +17,8 @@ from bregsep.metrics import sdr
 from bregsep.mixing import ProviderSpec, align_noise, mix_at_snr, provide_spectrograms
 from bregsep.solvers import amplitude_mask_init, misi
 from bregsep.transform import Signal, StftConfig
+from test_acceptance import RATE, _harmonic_speech
 
-RATE = 16000
 HEADER_FIELDS = cli.CSV_HEADER.split(",")
 
 
@@ -591,6 +591,37 @@ class TestConfigFile:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[separate]\nalgo = foo\n",
+         "config key 'algo': expected one of amplitude_mask/gl/misi/pgd, got 'foo'"),
+        ("[common]\nbogus = 1\n", "unknown config key 'bogus' in [common]"),
+        # no section header
+        ("algo = pgd\n", "bad config file"),
+    ], ids=["rejected_choice", "unknown_common_key", "malformed"])
+    def test_bad_config_rejected(self, wavs, capsys, text, message):
+        cfg = wavs["dir"] / "run.cfg"
+        cfg.write_text(text)
+        code = cli.main([
+            "separate", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--config", str(cfg),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["separate", "--speech", "s.wav", "--noise", "n.wav", "--algo", "foo"],
+         "argument --algo: expected one of amplitude_mask/gl/misi/pgd, got 'foo'"),
+        (["sweep", "--manifest", "m.csv", "--csv", "o.csv", "--betas", ","],
+         "argument --betas: empty list"),
+    ], ids=["rejected_choice", "empty_list"])
+    def test_bad_flag_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "error: " + message in capsys.readouterr().err
+
 
 def _write_manifest(path, rows):
     lines = ["mixture_id,speech,noise,snr_db,seed,split"]
@@ -626,17 +657,6 @@ def _record_divergence(monkeypatch):
 
     monkeypatch.setattr(cli, "projected_gradient", recorded)
     return stopped
-
-
-def _harmonic_speech(k, length):
-    """The acceptance corpus's speech stand-in."""
-    t = np.arange(length) / RATE
-    f0 = 110.0 + 35.0 * k
-    tone = np.zeros(length)
-    for harmonic, amp in ((1, 1.0), (2, 0.5), (3, 0.25)):
-        tone += amp * np.sin(2.0 * np.pi * f0 * harmonic * t)
-    tone *= 0.6 + 0.4 * np.sin(2.0 * np.pi * (1.5 + 0.3 * k) * t)
-    return Signal(0.3 * tone / np.max(np.abs(tone)), RATE)
 
 
 def _in_process(monkeypatch):
@@ -896,6 +916,60 @@ class TestSweep:
         assert "mixture_id" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        (("m", "", "noise.wav", 0.0, 1, "validation"), "empty path in manifest"),
+        (("m", "tone.wav", "noise.wav", 0.0, 1, "train"),
+         "manifest line 2: split must be validation or test"),
+        (("m", "tone.wav", "noise.wav", "loud", 1, "validation"),
+         "manifest line 2: bad snr_db or seed"),
+        (("m", "tone.wav", "noise.wav", 0.0, "1.5", "validation"),
+         "manifest line 2: bad snr_db or seed"),
+        (None, "manifest "),
+    ], ids=["empty_path", "bad_split", "bad_snr_db", "bad_seed", "no_rows"])
+    def test_bad_manifest_row_rejected(self, tmp_path, capsys, row, message):
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [] if row is None else [row])
+        out = tmp_path / "none.csv"
+        code = cli.main(["sweep", "--manifest", str(manifest), "--csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: " + message)
+        if row is None:
+            assert captured.err.rstrip().endswith("has no rows")
+        assert captured.out == "" and not out.exists()
+
+    def test_missing_input_of_a_later_row_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every row's pair is read and mixed before the first group runs
+        _in_process(monkeypatch)
+        calls = []
+        original = cli.projected_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "projected_gradient", counted)
+        _write_tone(tmp_path / "tone.wav", 300.0)
+        _write_noise(tmp_path / "noise.wav", seed=1)
+        manifest = tmp_path / "manifest.csv"
+        _write_manifest(manifest, [
+            ("good", "tone.wav", "noise.wav", 0.0, 1, "validation"),
+            ("bad", "tone.wav", "missing.wav", 0.0, 2, "validation"),
+        ])
+        out = tmp_path / "none.csv"
+        code = cli.main([
+            "sweep", "--manifest", str(manifest), "--csv", str(out),
+            "--win", "256", "--hop", "64", "--iterations", "1", "--betas", "2",
+            "--step-sizes", "1", "--directions", "right", "--d-values", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert "missing.wav" in captured.err
+        assert captured.out == "" and not out.exists() and not calls
+
     def test_bad_manifest_header_errors(self, tmp_path, capsys):
         manifest = tmp_path / "bad.csv"
         manifest.write_text("speech,noise\na.wav,b.wav\n")
@@ -1002,6 +1076,16 @@ class TestSweep:
         message = capsys.readouterr().err
         assert flag in message and "repeated value" in message
         assert not (sweep_setup["dir"] / "repeated.csv").exists()
+
+    @pytest.mark.parametrize("value", ["2.5", "-1e-9", "nan"])
+    def test_beta_outside_0_to_2_rejected(self, sweep_setup, capsys, value):
+        # checked before the limit is taken, as DivergenceSpec checks it, so
+        # -1e-9 does not read 0
+        with pytest.raises(SystemExit) as err:
+            _sweep(sweep_setup, "range.csv", ["--betas", "1," + value])
+        assert err.value.code == 2
+        assert "argument --betas: beta must lie in [0, 2]" in capsys.readouterr().err
+        assert not (sweep_setup["dir"] / "range.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("betas", "2,2"),

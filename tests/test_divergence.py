@@ -88,6 +88,14 @@ class TestBregman:
         with pytest.raises(ValueError):
             bregman(2, np.ones((2, 2)), np.ones((2, 3)))
 
+    def test_empty_arrays_give_zero(self):
+        assert bregman(0.5, np.empty((0, 3)), np.empty((0, 3))) == 0.0
+
+    @pytest.mark.parametrize("z_value", [0.0, -1.0])
+    def test_nonpositive_z_rejected(self, z_value):
+        with pytest.raises(ValueError, match="z must be strictly positive"):
+            bregman(2, np.ones(3), np.array([1.0, z_value, 1.0]))
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(SEED)
         r = rng.uniform(0.5, 3.0, (5, 4))

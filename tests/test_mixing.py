@@ -140,6 +140,14 @@ class TestAlignNoise:
         )
         assert found
 
+    def test_nonpositive_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be positive"):
+            align_noise(Signal(np.ones(10)), 0, seed=0)
+
+    def test_empty_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise signal is empty"):
+            align_noise(Signal(np.empty(0)), 10, seed=0)
+
     def test_exact_length_passthrough_content(self):
         rng = np.random.default_rng(SEED + 4)
         noise = Signal(rng.standard_normal(1000))
@@ -220,6 +228,11 @@ class TestProvideSpectrograms:
                 mag = mag * np.exp(sigma * noise.standard_normal(mag.shape))
             expected = mag if d == 1 else mag**2
             assert np.array_equal(r.data.view(np.uint64), expected.view(np.uint64))
+
+    def test_exponent_other_than_1_or_2_rejected(self):
+        sources = [Signal(np.ones(2000))]
+        with pytest.raises(ValueError, match="d must be 1 or 2"):
+            provide_spectrograms(sources, ProviderSpec("oracle"), 3, CFG)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

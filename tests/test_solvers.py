@@ -85,7 +85,7 @@ def _objective_totals(meas, x, spec, step, iterations):
 
 class TestSolverDivergedError:
     def test_survives_pickling(self):
-        # as it must to cross a process pool
+        # the default pickling, from the error's args
         err = SolverDivergedError(3, "energy bound")
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is SolverDivergedError
@@ -121,6 +121,10 @@ class TestProjectToMixture:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             project_to_mixture([Signal(np.ones(4))], Signal(np.ones(5)))
+
+    def test_no_estimates_rejected(self):
+        with pytest.raises(ValueError, match="at least one estimate is required"):
+            project_to_mixture([], Signal(np.ones(5)))
 
 
 class TestAmplitudeMaskInit:
@@ -177,6 +181,11 @@ class TestAmplitudeMaskInit:
         bad = Measurements(np.ones((CFG.n_bins, 3)), 1)
         with pytest.raises(ValueError):
             amplitude_mask_init([bad], x, CFG)
+
+    def test_no_measurements_rejected(self):
+        x = Signal(np.ones(2000))
+        with pytest.raises(ValueError, match="at least one measurement matrix"):
+            amplitude_mask_init([], x, CFG)
 
     def test_mixed_exponents_rejected(self):
         # with no exponent asked for, every measurement must have the first one's
@@ -528,6 +537,15 @@ class TestProjectedGradient:
             with pytest.raises(ValueError, match="mixture's length"):
                 projected_gradient(meas, x, cfg, CFG, init=init)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_init_with_another_source_count_rejected(self, count):
+        rng = np.random.default_rng(SEED + 43)
+        x = Signal(rng.standard_normal(1000))
+        meas = _random_measurements(rng, 1000, 2)
+        cfg = SolverConfig(DivergenceSpec(1.0, "left", 1), step_size=1e-3)
+        with pytest.raises(ValueError, match="init must provide one signal per source"):
+            projected_gradient(meas, x, cfg, CFG, init=[x] * count)
+
     def _two_second_problem(self, d):
         config = StftConfig(1024, 256)
         rng = np.random.default_rng(SEED + 27)
@@ -747,6 +765,8 @@ class TestPreparedTarget:
         assert meas.data.min() >= EPS_FLOOR
         assert solvers._prepared_target(DivergenceSpec(0.5), meas) is meas.data
         meas.data[:, 0] = 0.0
+        # positive, but under the floor: floored as well
+        meas.data[:, 1] = 1e-14
         kept = meas.data.copy()
         floored = np.maximum(kept, EPS_FLOOR)
         right = solvers._prepared_target(DivergenceSpec(0.5, "right"), meas)

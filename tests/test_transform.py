@@ -79,6 +79,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             StftConfig(win_length=1024, hop=300)
 
+    def test_hop_past_the_window_rejected(self):
+        with pytest.raises(ValueError, match="hop must satisfy 1 <= hop <= win_length"):
+            StftConfig(win_length=256, hop=512)
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_frames_of_no_samples_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be positive"):
+            StftConfig(256, 64).n_frames(length)
+
 
 class TestNormalizationConstant:
     def test_hann_1024_256(self):
@@ -169,6 +178,11 @@ class TestIstft:
             x = rng.standard_normal(16000)
             y = istft(stft(Signal(x), cfg), 16000)
             assert np.max(np.abs(y.samples - x)) < 1e-10
+
+    def test_nonpositive_target_length_rejected(self):
+        spectrogram = stft(Signal(np.ones(300)), StftConfig(256, 64))
+        with pytest.raises(ValueError, match="target_length must be positive"):
+            istft(spectrogram, 0)
 
     def test_roundtrip_awkward_length(self):
         rng = np.random.default_rng(SEED + 1)
@@ -356,6 +370,8 @@ class TestTypes:
             Measurements(np.ones((2, 2)), 3)
         with pytest.raises(ValueError):
             Measurements(np.array([[np.inf]]), 1)
+        with pytest.raises(ValueError, match="measurements must be 2-D"):
+            Measurements(np.ones(5), 1)
 
     def test_measurements_frozen_after_validation(self):
         meas = Measurements(np.ones((3, 4)), 1)
@@ -373,6 +389,10 @@ class TestTypes:
         assert np.array_equal(held, values)
         spectrum = np.abs(stft(Signal(rng.standard_normal(40)), StftConfig(8, 2)).data)
         assert Measurements(spectrum, 1).data is spectrum
+
+    def test_spectrogram_must_be_2d(self):
+        with pytest.raises(ValueError, match="spectrogram data must be 2-D"):
+            ComplexSpectrogram(np.zeros(5, dtype=complex), StftConfig(8, 2))
 
     def test_spectrogram_must_be_finite(self):
         cfg = StftConfig(8, 2)

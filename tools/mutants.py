@@ -105,6 +105,21 @@ CATALOGUE = [
            "energy bound without the measurements' scale"),
     Mutant("src/bregsep/metrics.py", "SDR_CAP_DB = 240.0", "SDR_CAP_DB = 200.0",
            "SDR cap 200 dB"),
+    # the third round: input checks, each removed
+    Mutant("src/bregsep/transform.py",
+           "        if self.data.ndim != 2:\n"
+           '            raise ValueError("measurements must be 2-D (bins x frames)")\n',
+           "", "Measurements without the ndim check"),
+    Mutant("src/bregsep/divergence.py",
+           "    if z.min() <= 0:\n"
+           '        raise ValueError("z must be strictly positive")\n',
+           "", "bregman without the z > 0 check"),
+    Mutant("src/bregsep/cli.py",
+           '            if split not in ("validation", "test"):\n'
+           "                raise ValueError(\n"
+           '                    "manifest line %d: split must be validation or test" % line_no\n'
+           "                )\n",
+           "", "manifest without the split check"),
 ]
 
 
