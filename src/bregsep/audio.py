@@ -5,8 +5,6 @@ Only mono files are accepted: 16-bit PCM (divided by 32768 on load) or
 saturation clipping and a warning counting clipped samples.
 """
 
-from __future__ import annotations
-
 import warnings
 
 import numpy as np

@@ -35,6 +35,7 @@ import sys
 import threading
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor, wait
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,17 +236,14 @@ def _config_values(path, command):
         raise ValueError("bad config file %s: %s" % (path, err))
     accepted = set(_SUBCOMMANDS[command]["options"])
     values = {}
-    if parser.has_section("common"):
-        for key, raw in parser.items("common"):
-            if key not in _OPTIONS:
-                raise ValueError("unknown config key '%s' in [common]" % key)
+    for section, known in (("common", _OPTIONS), (command, accepted)):
+        if not parser.has_section(section):
+            continue
+        for key, raw in parser.items(section):
+            if key not in known:
+                raise ValueError("unknown config key '%s' in [%s]" % (key, section))
             if key in accepted:
                 values[key] = raw
-    if parser.has_section(command):
-        for key, raw in parser.items(command):
-            if key not in accepted:
-                raise ValueError("unknown config key '%s' in [%s]" % (key, command))
-            values[key] = raw
     return values
 
 
@@ -280,9 +278,17 @@ def _check_mixture_id(mixture_id):
 
 
 def _check_output_files(ns):
-    """Reject an output file (--csv, --out, --out-noise) that cannot be
-    written: a path that is a directory, or one in no existing directory.
-    Checked before any input is read, so a bad path costs no work."""
+    """Reject an output path that cannot be written, before any input is
+    read: a --csv, --out or --out-noise that is a directory or in no
+    directory, or an --out-dir whose deepest existing part is not one."""
+    if ns.get("out_dir"):
+        path = Path(ns["out_dir"])
+        # the deepest existing part, a broken link too; mkdir makes the rest
+        part = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not part.is_dir():
+            raise ValueError(
+                "--out-dir %r: %r is not a directory" % (ns["out_dir"], str(part))
+            )
     for dest in ("csv", "out", "out_noise"):
         text = ns.get(dest)
         if text is None:
@@ -349,6 +355,13 @@ def _block(mixture_id, snr_db, seed, signals, provider, d, stft_config):
     )
 
 
+def _records(ns):
+    """The ProviderSpec, seeded with --seed, and the StftConfig of ns."""
+    stft_config = StftConfig(ns["win"], ns["hop"])
+    stft_config.b  # a grid that is not COLA raises NotColaError here
+    return ProviderSpec(ns["provider"], ns["sigma"], ns["seed"]), stft_config
+
+
 def _run_cell(block, algo, solver, start=None):
     """Run algo from the block's init, or pgd from start, and score it.
 
@@ -397,18 +410,17 @@ def _cmd_separate(ns):
     algo = ns["algo"]
     if algo in ("gl", "misi") and ns["d"] != 1:
         raise ValueError("%s needs magnitude measurements (--d 1)" % algo)
-    # every algo's row carries these fields, so they are checked for every
-    # algo, before any file is read
+    # every algo's row carries these fields, so every algo checks them
     solver = SolverConfig(
         DivergenceSpec(ns["beta"], ns["direction"], ns["d"]),
         ns["step_size"], ns["iterations"],
     )
     mixture_id = _check_mixture_id(ns["mixture_id"] or Path(ns["speech"]).stem)
+    provider, stft_config = _records(ns)
     block = _block(
         mixture_id, ns["snr"], ns["seed"],
         _load_pair(ns["speech"], ns["noise"], ns["snr"], ns["seed"]),
-        ProviderSpec(ns["provider"], ns["sigma"], ns["seed"]), ns["d"],
-        StftConfig(ns["win"], ns["hop"]),
+        provider, ns["d"], stft_config,
     )
     row, estimates = _run_cell(block, algo, solver)
     line = _ROW_FORMAT % row
@@ -651,13 +663,13 @@ def _distinct_groups(betas, directions):
 
 
 def _cmd_sweep(ns):
-    rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
-    if not rows:
-        raise ValueError("manifest has no rows for split '%s'" % ns["split"])
     steps = ns["step_sizes"]
     if not all(np.isfinite(step) and step > 0 for step in steps):
         raise ValueError("step sizes must be positive and finite")
-    stft_config = StftConfig(ns["win"], ns["hop"])
+    provider, stft_config = _records(ns)
+    rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
+    if not rows:
+        raise ValueError("manifest has no rows for split '%s'" % ns["split"])
     groups = _distinct_groups(ns["betas"], ns["directions"])
     tasks = [group + (steps, ns["iterations"]) for group in groups]
     # every row's pair is read and mixed once before any group runs, so a
@@ -667,11 +679,10 @@ def _cmd_sweep(ns):
     records = []
     for row in rows:
         signals = _load_pair(row["speech"], row["noise"], row["snr_db"], row["seed"])
-        provider_seed = ns["seed"] * _SEED_STRIDE + row["seed"]
-        provider = ProviderSpec(ns["provider"], ns["sigma"], provider_seed)
+        row_provider = replace(provider, seed=provider.seed * _SEED_STRIDE + row["seed"])
         for d in ns["d_values"]:
             block = _block(
-                row["mixture_id"], row["snr_db"], row["seed"], signals, provider,
+                row["mixture_id"], row["snr_db"], row["seed"], signals, row_provider,
                 d, stft_config,
             )
             ran = _run_groups(block, tasks)

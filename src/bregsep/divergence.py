@@ -19,8 +19,6 @@ and the integrand PGD synthesises.  :func:`objective`, its gradient and PGD
 share them, so they see one floored model.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,7 +1,5 @@
 """Separation quality metrics."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -1,7 +1,5 @@
 """Mixture construction at a target SNR and spectrogram providers."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -24,8 +24,6 @@ MISI keeps its own Griffin-Lim step and shares only the transform kernel:
 it is the reference PGD is checked against.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral

@@ -29,8 +29,6 @@ values, so results are bit for bit those of norm="ortho", which other
 win_length keep.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt

@@ -219,6 +219,50 @@ class TestSeparate:
         total = s0.samples + s1.samples
         assert np.max(np.abs(total - mixture.samples)) <= 1.0 / 32768.0 + 1e-12
 
+    # AWKWARD_INPUTS has an --out-dir that is a file
+    @pytest.mark.parametrize("case", ["under_a_file", "broken_link"])
+    def test_out_dir_through_a_non_directory_rejected_before_any_run(
+        self, wavs, capsys, case
+    ):
+        if case == "under_a_file":
+            part, out_dir = wavs["speech"], Path(wavs["speech"], "sub")
+        else:
+            part = out_dir = wavs["dir"] / "link"
+            out_dir.symlink_to(wavs["dir"] / "nowhere")
+        out_csv = wavs["dir"] / "row.csv"
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--algo", "amplitude_mask", "--out-dir", str(out_dir), "--csv", str(out_csv),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --out-dir %r: %r is not a directory\n" % (
+            str(out_dir), str(part),
+        )
+        assert captured.out == "" and not out_csv.exists()
+
+    def test_grid_that_is_not_cola_rejected_before_any_input(
+        self, wavs, capsys, monkeypatch
+    ):
+        calls = []
+        original = cli.provide_spectrograms
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "provide_spectrograms", counted)
+        code = cli.main([
+            "separate", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--win", "1024", "--hop", "512",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: squared window does not overlap-add to a constant (hop 512, win 1024"
+        )
+        assert captured.out == "" and calls == []
+
     def test_diverged_run_is_reported_not_raised(self, wavs, capsys):
         code = _separate([
             "--speech", wavs["speech"], "--noise", wavs["noise"],
@@ -490,6 +534,9 @@ AWKWARD_INPUTS = [
      "snr_db -6100 overflows the scaled noise's energy"),
     ("CSV in a missing directory", "tone", "noise", ("--csv", "missing/row.csv"), 2,
      "--csv 'missing/row.csv': directory 'missing' does not exist"),
+    ("out-dir is a file", "tone", "noise",
+     ("--out-dir", "noise.wav", "--csv", "row.csv"), 2,
+     "--out-dir 'noise.wav': 'noise.wav' is not a directory"),
 ]
 
 
@@ -870,6 +917,25 @@ class TestSweep:
         assert not out.parent.exists()
         assert calls == []
 
+    def test_grid_that_is_not_cola_rejected_before_any_input(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        calls = []
+        original = cli._load_pair
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_load_pair", counted)
+        code, out = _sweep(sweep_setup, "grid.csv", ["--hop", "128"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: squared window does not overlap-add to a constant (hop 128, win 256"
+        )
+        assert captured.out == "" and not out.exists() and calls == []
+
     def test_negative_iterations_rejected(self, sweep_setup, capsys):
         with pytest.raises(SystemExit) as err:
             _sweep(sweep_setup, "negative.csv", ["--iterations", "-1"])
@@ -1143,6 +1209,33 @@ class TestOracleSigmaRejected:
         captured = capsys.readouterr()
         assert code == 2
         assert "sigma" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    # the provider is checked before any input is read, so a missing WAV
+    # does not hide the option's error
+    def test_separate_with_a_missing_noise_file(self, wavs, capsys, by_config):
+        out = wavs["dir"] / "row.csv"
+        code = _separate([
+            "--speech", wavs["speech"], "--noise", str(wavs["dir"] / "missing.wav"),
+            "--csv", str(out), *_oracle_sigma_options(wavs["dir"], by_config),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the oracle provider takes no sigma")
+        assert captured.out == "" and not out.exists()
+
+    def test_sweep_with_a_missing_noise_file(self, sweep_setup, capsys, by_config):
+        manifest = sweep_setup["dir"] / "missing.csv"
+        _write_manifest(manifest, [
+            ("mix_a", "tone_a.wav", "missing.wav", 0.0, 1, "validation"),
+        ])
+        code, out = _sweep(
+            {"dir": sweep_setup["dir"], "manifest": str(manifest)}, "oracle.csv",
+            _oracle_sigma_options(sweep_setup["dir"], by_config),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the oracle provider takes no sigma")
         assert captured.out == "" and not out.exists()
 
 

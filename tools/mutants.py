@@ -120,6 +120,16 @@ CATALOGUE = [
            '                    "manifest line %d: split must be validation or test" % line_no\n'
            "                )\n",
            "", "manifest without the split check"),
+    # the fourth round: the set-up order's checks, each removed
+    Mutant("src/bregsep/cli.py",
+           "        if not part.is_dir():\n"
+           "            raise ValueError(\n"
+           '                "--out-dir %r: %r is not a directory" % (ns["out_dir"], str(part))\n'
+           "            )\n",
+           "", "--out-dir not checked before the run"),
+    Mutant("src/bregsep/cli.py",
+           "    stft_config.b  # a grid that is not COLA raises NotColaError here\n",
+           "", "grid not checked before the inputs are read"),
 ]
 
 
