@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -8,7 +10,66 @@ from bregsep.transform import Signal
 SEED = 9182
 
 
+def _scipy_file(dtype, length):
+    """A function writing `length` random int16 or float32 samples with
+    wavfile.write."""
+
+    def write(path):
+        rng = np.random.default_rng(SEED + length)
+        if dtype == np.int16:
+            data = rng.integers(-32768, 32768, length).astype(np.int16)
+        else:
+            data = rng.uniform(-1.0, 1.0, length).astype(np.float32)
+        wavfile.write(path, 22050, data)
+
+    return write
+
+
+def _with_odd_list_chunk(path):
+    # an odd-sized LIST chunk, then its pad byte, between fmt and data
+    _scipy_file(np.int16, 7)(path)
+    raw = path.read_bytes()
+    chunk = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\0"
+    riff_size = struct.pack("<I", len(raw) - 8 + len(chunk))
+    path.write_bytes(b"RIFF" + riff_size + raw[8:36] + chunk + raw[36:])
+
+
+def _extensible_float(path):
+    # WAVE_FORMAT_EXTENSIBLE with the IEEE float sub-format GUID
+    data = np.array([0.25, -0.5, 1e-3, 0.0, -1.0], dtype=np.float32).tobytes()
+    guid = bytes.fromhex("0300000000001000800000aa00389b71")
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 48000, 4 * 48000, 4, 32, 22, 32, 4) + guid
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
+# files load_wav must read as scipy reads them, bit for bit
+SCIPY_READABLE = {
+    **{
+        "%s, %d samples" % (np.dtype(dtype).name, length): _scipy_file(dtype, length)
+        for dtype in (np.int16, np.float32)
+        for length in (1, 7, 16000, 44101)
+    },
+    "odd-sized LIST chunk": _with_odd_list_chunk,
+    "extensible float": _extensible_float,
+}
+
+
 class TestLoadWav:
+    @pytest.mark.parametrize("write", SCIPY_READABLE.values(), ids=SCIPY_READABLE)
+    def test_reads_what_scipy_reads(self, tmp_path, write):
+        path = tmp_path / "oracle.wav"
+        write(path)
+        rate, data = wavfile.read(path)
+        expected = data.astype(np.float64)
+        if data.dtype == np.int16:
+            expected /= 32768.0
+        sig = load_wav(path)
+        assert sig.sample_rate == rate
+        assert sig.samples.dtype == np.float64
+        assert sig.samples.tobytes() == expected.tobytes()
+
     def test_int16_scaling(self, tmp_path):
         path = tmp_path / "a.wav"
         wavfile.write(path, 16000, np.array([0, 16384, -32768, 32767], dtype=np.int16))
@@ -49,6 +110,20 @@ class TestLoadWav:
 
 
 class TestWriteWav:
+    @pytest.mark.parametrize("length", [1, 7, 16000, 44101, "clipped"])
+    def test_bytes_equal_scipy(self, tmp_path, length, recwarn):
+        if length == "clipped":
+            samples = np.array([0.0, 1.5, -2.0, 0.5, -32768.6 / 32768.0])
+            codes = np.array([0, 32767, -32768, 16384, -32768], dtype=np.int16)
+        else:
+            codes = np.random.default_rng(SEED + length).integers(-32768, 32768, length)
+            codes = codes.astype(np.int16)
+            samples = codes / 32768.0
+        write_wav(tmp_path / "ours.wav", Signal(samples, 44100))
+        wavfile.write(tmp_path / "scipy.wav", 44100, codes)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+        assert len(recwarn) == (length == "clipped")
+
     def test_round_trip_within_quantization_step(self, tmp_path):
         rng = np.random.default_rng(SEED)
         samples = rng.uniform(-0.9, 0.9, 4000)

@@ -456,6 +456,12 @@ def _truncated_wav(path):
     path.write_bytes(path.read_bytes()[:30])
 
 
+def _cut_short_wav(path):
+    # a 16 000-sample file whose data chunk ends after 5 000 samples
+    _write_tone(path, 440.0, length=16000)
+    path.write_bytes(path.read_bytes()[: 44 + 2 * 5000])
+
+
 def _half_silent_wav(path):
     # one second whose first half is digital silence: exact-zero bins
     t = np.arange(RATE) / RATE
@@ -475,6 +481,7 @@ _AWKWARD_WAVS = {
     "float64": lambda path: wavfile.write(path, RATE, np.full(4000, 0.25)),
     "stereo": lambda path: wavfile.write(path, RATE, np.full((4000, 2), 99, np.int16)),
     "truncated": _truncated_wav,
+    "cut short": _cut_short_wav,
     "empty": lambda path: wavfile.write(path, RATE, np.zeros(0, np.int16)),
     "missing": lambda path: None,
     "10 samples": lambda path: _write_tone(path, 440.0, length=10),
@@ -502,6 +509,8 @@ AWKWARD_INPUTS = [
     ("stereo WAV", "stereo", "noise", (), 2, "{speech} has 2 channels"),
     ("truncated WAV", "truncated", "noise", (), 2,
      "malformed or unreadable WAV file {speech}"),
+    ("WAV whose data chunk is cut short", "cut short", "noise", (), 2,
+     "malformed or unreadable WAV file {speech}: chunk 'data' cut short"),
     ("WAV without samples", "empty", "noise", (), 2, "{speech} holds no samples"),
     ("missing speech file", "missing", "noise", (), 2,
      "[Errno 2] No such file or directory: '{speech}'"),

@@ -21,10 +21,16 @@
   definition, used by bench/, or on a short list of oracles and types.  The
   names bench/layers.py probes stay public, and the names it patches in
   bregsep.cli stay names that cli.py calls.
+- numpy is the only runtime dependency: with scipy blocked, the CLI reads,
+  mixes, separates, writes and scores WAVs, and no scipy module is loaded.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bregsep
@@ -238,3 +244,42 @@ def test_spanned_names_are_called_by_the_cli():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert spanned <= by_name
+
+
+# blocks scipy, then runs mix, separate --out-dir and eval on WAVs that
+# write_wav wrote; its last line is the exit codes and the scipy modules loaded
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pathlib import Path
+import numpy as np
+from bregsep import cli
+from bregsep.audio import write_wav
+from bregsep.transform import Signal
+
+work = Path(sys.argv[1])
+speech, noise, mixture = (str(work / n) for n in ("speech.wav", "noise.wav", "mix.wav"))
+t = np.arange(4000) / 16000
+write_wav(speech, Signal(0.4 * np.sin(2 * np.pi * 440 * t), 16000))
+write_wav(noise, Signal(np.random.default_rng(7).uniform(-0.2, 0.2, 6000), 16000))
+pair = ["--speech", speech, "--noise", noise]
+codes = [
+    cli.main(["mix", *pair, "--out", mixture]),
+    cli.main(["separate", *pair, "--win", "256", "--hop", "64", "--out-dir", str(work / "out")]),
+    cli.main(["eval", "--ref", speech, "--est", str(work / "out" / "source_0.wav")]),
+]
+loaded = [name for name, module in sys.modules.items()
+          if name.partition(".")[0] == "scipy" and module is not None]
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert (tmp_path / "mix.wav").is_file() and (tmp_path / "out" / "source_1.wav").is_file()

@@ -130,6 +130,16 @@ CATALOGUE = [
     Mutant("src/bregsep/cli.py",
            "    stft_config.b  # a grid that is not COLA raises NotColaError here\n",
            "", "grid not checked before the inputs are read"),
+    # the fifth round: the WAV reader's chunk walk
+    Mutant("src/bregsep/audio.py", "offset += 8 + size + size % 2",
+           "offset += 8 + size", "pad byte after an odd-sized chunk not skipped"),
+    Mutant("src/bregsep/audio.py",
+           "        if len(body) < size:\n"
+           '            raise ValueError("chunk %r cut short: %d of %d bytes"'
+           " % (name, len(body), size))\n",
+           "", "chunk cut short not rejected"),
+    Mutant("src/bregsep/audio.py", 'tag = struct.unpack_from("<H", fmt, 24)[0]',
+           "pass", "extensible sub-format ignored"),
 ]
 
 
