@@ -66,9 +66,10 @@ MANIFEST_FIELDS = ("mixture_id", "speech", "noise", "snr_db", "seed", "split")
 
 # keeps per-mixture provider streams apart for any base seed
 _SEED_STRIDE = 1_000_003
-# glibc mallopt's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, held at 32 and
-# 64 MiB: where glibc's own adjustment of them ends
-_HELD_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+# glibc mallopt's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD parameters, and 32
+# and 64 MiB: where glibc's own adjustment of the two thresholds ends
+_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -3, -1
+_MMAP_BYTES, _TRIM_BYTES = 32 << 20, 64 << 20
 
 
 def _choice(options, cast=str):
@@ -714,29 +715,59 @@ _COMMANDS = {
 }
 
 
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
 @functools.cache
 def _hold_allocator():
-    """Hold glibc malloc's thresholds (_HELD_THRESHOLDS), once per process.
+    """Hold glibc malloc's thresholds, once per process, and return the call
+    that gives the heap's free memory back once a command is done.
 
     By default glibc trims the heap top past twice an mmap threshold that the
     ~1 MB block arrays raised, so each PGD iteration gets its arrays from
     fresh pages again.  On a 2-vCPU host that cost about 3770 minor faults
     per `separate --algo pgd` call on a 1 s clip against 3 held, and 12-16 s
     of sys time against 1 s on a default-grid sweep of ten 2 s mixtures.
-    Forked sweep workers inherit the setting.  Off glibc this does nothing.
+
+    glibc trims only the free memory above the highest block in use.  In a
+    process making 30 s `separate` calls, a small block that outlived a call
+    above its large arrays kept about 25 MB below it resident (a heap of 88
+    against 67 MB), so whether the next work in the process found its
+    memory resident or faulted it in turned on where that block fell.  So
+    trimming is off during a command, and after it all free memory is given
+    back once it passes _TRIM_BYTES, wherever in the heap it lies; a command
+    that frees less leaves its heap to the next.  Forked sweep workers inherit
+    the thresholds.  Off glibc this does nothing; before glibc 2.33 (no
+    mallinfo2) the trim threshold is held at _TRIM_BYTES instead.
     """
     try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        libc = ctypes.CDLL("libc.so.6")
+        mallopt = libc.mallopt
     except (OSError, AttributeError):
-        return
+        return lambda: None
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    for param, value in _HELD_THRESHOLDS:
-        mallopt(param, value)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallinfo2 = getattr(libc, "mallinfo2", None)
+    if mallinfo2 is None:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+        return lambda: None
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallinfo2.restype = _MallInfo2
+    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+
+    def release():
+        if mallinfo2().fordblks > _TRIM_BYTES:
+            libc.malloc_trim(0)
+
+    return release
 
 
 def main(argv=None):
-    _hold_allocator()
+    release = _hold_allocator()
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
@@ -745,6 +776,8 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    finally:
+        release()
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import platform
 import signal
+import subprocess
+import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -1537,3 +1539,41 @@ def test_separate_reuses_its_heap(tmp_path, capsys):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     capsys.readouterr()
     assert faults / 20 < 100
+
+
+# 72 MiB freed below a block still in use, which glibc's own trimming of the
+# heap top cannot reach; prints the MiB the process held before a command
+# less what it holds after it
+_FREED_BELOW_A_BLOCK = """
+import os, sys
+import numpy as np
+from bregsep import cli
+
+def resident_mib():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+cli._hold_allocator()
+arrays = [np.ones(3 << 20) for _ in range(3)]
+block = bytearray(1 << 20)
+del arrays
+before = resident_mib()
+code = cli.main(["eval", "--ref", sys.argv[1], "--est", sys.argv[1]])
+print(code, before - resident_mib())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's malloc")
+def test_a_command_gives_back_free_heap_past_the_trim_threshold(tmp_path):
+    # wherever in the heap the free memory lies, so what a process holds
+    # after a command does not turn on where one small block was placed
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FREED_BELOW_A_BLOCK, str(tmp_path / "missing.wav")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    code, released_mib = run.stdout.split()
+    assert code == "2"
+    assert float(released_mib) > 60
