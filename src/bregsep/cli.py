@@ -53,7 +53,7 @@ from .solvers import (
     pgd_start,
     projected_gradient,
 )
-from .transform import StftConfig
+from .transform import StftConfig, _usable_cpus
 
 CSV_HEADER = (
     "algo,beta,d,direction,step_size,snr_db,sigma,seed,"
@@ -589,10 +589,7 @@ def _sweep_workers(groups):
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     return min(groups, cpus)
 
 

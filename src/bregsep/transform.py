@@ -22,6 +22,14 @@ signals through one kernel, 128 frames at a time, and build no full complex
 spectrogram; stft and istft, kept for the public API, are its whole-array
 case.  Elementwise results do not depend on the block size.
 
+A kernel call that synthesises outputs over more than one block uses a
+second CPU when the process may run on one and is no multiprocessing child
+(a sweep worker, whose siblings fill the other CPUs): its blocks are then
+half as long, and a thread of its own, joined before the call returns or
+raises, runs the second half of them.  Every sample still sums its frames
+in frame order, so the bytes are those of the serial loop; `taskset -c 0`
+keeps a process to that loop.
+
 The kernel applies the unitary scale 1/sqrt(win_length) in its window, and
 runs FFTs that scale nothing, where the scale is a power of two (win_length
 4, 16, 64, 256, 1024, ...).  Such a scaling is exact short of subnormal
@@ -29,6 +37,9 @@ values, so results are bit for bit those of norm="ortho", which other
 win_length keep.
 """
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -280,11 +291,15 @@ def _analyse(frames, config):
     return np.fft.rfft(frames * window, axis=1, norm=norm).T
 
 
-def _overlap_add(spectra, config, buf, first):
+def _overlap_add(spectra, config, buf, first, seam=None):
     """Synthesise spectra as frames first, first + 1, ... into buf.
 
     win_length/hop strided adds of hop-long segments, last segment first:
     each sample sums its frames in frame order, across calls in frame order.
+    With seam = (split, held), the segments that frames from split on add to
+    the win_length/hop - 1 chunks of hop samples from split on, which frames
+    before split reach too, are copied to held[frame - split, segment]
+    instead, for :func:`_add_seam` to add.
     """
     hop, overlap = config.hop, config.win_length // config.hop
     n_frames = spectra.shape[1]
@@ -294,7 +309,24 @@ def _overlap_add(spectra, config, buf, first):
     segments = frames.reshape(n_frames, overlap, hop)
     chunks = buf.reshape(-1, hop)[first:]
     for k in reversed(range(overlap)):
-        chunks[k : k + n_frames] += segments[:, k]
+        # the first `kept` frames' segment k lands on a seam chunk
+        kept = 0
+        if seam is not None:
+            split, held = seam
+            kept = min(max(split + overlap - 1 - first - k, 0), n_frames)
+            if kept:
+                held[first - split : first - split + kept, k] = segments[:kept, k]
+        chunks[k + kept : k + n_frames] += segments[kept:, k]
+
+
+def _add_seam(buf, config, split, held, n_held):
+    """Add the held segments of frames split, split + 1, ... (n_held of
+    them, see :func:`_overlap_add`) into buf after every earlier frame's,
+    frame by frame in frame order."""
+    seam = config.win_length // config.hop - 1
+    chunks = buf.reshape(-1, config.hop)[split:]
+    for m in range(n_held):
+        chunks[m:seam] += held[m, : seam - m]
 
 
 def _trimmed(buf, config, target_length):
@@ -308,28 +340,83 @@ def _trimmed(buf, config, target_length):
     return out
 
 
+def _usable_cpus():
+    """CPUs in this process's affinity mask; every CPU where it cannot be read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _second_cpu():
+    """Whether a kernel call may run half its blocks in a second thread: the
+    process may run on more than one CPU and is no multiprocessing child."""
+    return _usable_cpus() > 1 and multiprocessing.parent_process() is None
+
+
 def _stream(signals, config, consume, n_out=0):
     """The analysis-synthesis kernel, run _BLOCK_FRAMES frames at a time.
 
-    signals are bare sample arrays of one length.  For each block, in frame
-    order, consume(frames, spectra) gets the block's frame slice and a list
-    of every signal's spectra on it, and returns a list of n_out spectra on
-    the same frames.  These are synthesised into the n_out sample arrays of
-    the signals' length that are returned.  Each spectrum element and output
+    signals are bare sample arrays of one length.  For each block,
+    consume(frames, spectra) gets the block's frame slice and a list of
+    every signal's spectra on it, and returns a list of n_out spectra on the
+    same frames.  These are synthesised into the n_out sample arrays of the
+    signals' length that are returned.  Each spectrum element and output
     sample goes through the same operations in the same order as in
-    :func:`stft` and :func:`istft`, the whole-array case, so
-    while consume works element by element, results do not depend on the
-    block size.
+    :func:`stft` and :func:`istft`, the whole-array case, so while consume
+    works element by element, results do not depend on the block size.
+
+    Blocks reach consume in frame order.  With outputs, more than
+    _BLOCK_FRAMES frames and :func:`_second_cpu`, the blocks are half as
+    long, so the two in flight hold what one block does; the caller's thread
+    runs the first half of them and a thread started here the rest, each in
+    frame order and under the caller's numpy error state, so consume must be
+    safe to call from two threads at once.  The thread is joined before this
+    returns or raises, and what it raised is raised here.
     """
     views = [_frames(x, config) for x in signals]
     n_frames = len(views[0])
     bufs = [_buffer(n_frames, config) for _ in range(n_out)]
-    for first in range(0, n_frames, _BLOCK_FRAMES):
-        frames = slice(first, first + _BLOCK_FRAMES)
-        spectra = consume(frames, [_analyse(view[frames], config) for view in views])
-        # each spectrum is dropped once synthesised
-        for buf in bufs:
-            _overlap_add(spectra.pop(0), config, buf, first)
+
+    def run(firsts, size, seams):
+        for first in firsts:
+            frames = slice(first, first + size)
+            spectra = consume(frames, [_analyse(view[frames], config) for view in views])
+            # each spectrum is dropped once synthesised
+            for buf, seam in zip(bufs, seams):
+                _overlap_add(spectra.pop(0), config, buf, first, seam)
+
+    if not (n_out and n_frames > _BLOCK_FRAMES and _second_cpu()):
+        run(range(0, n_frames, _BLOCK_FRAMES), _BLOCK_FRAMES, [None] * n_out)
+        return [_trimmed(buf, config, signals[0].size) for buf in bufs]
+    size = max(_BLOCK_FRAMES // 2, 1)
+    firsts = range(0, n_frames, size)
+    half = len(firsts) // 2
+    split, seam = firsts[half], config.win_length // config.hop - 1
+    seams = [(split, np.zeros((seam, seam, config.hop))) for _ in bufs]
+    errors, stop, failed = np.geterr(), threading.Event(), []
+
+    def second_half():
+        try:
+            with np.errstate(**errors):
+                run((first for first in firsts[half:] if not stop.is_set()), size, seams)
+        except BaseException as exc:  # raised again in the caller's thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=second_half, name="bregsep-stream")
+    worker.start()
+    try:
+        run(firsts[:half], size, [None] * n_out)
+        worker.join()
+    except BaseException:
+        # an error or Ctrl-C here: the thread stops after its current block
+        stop.set()
+        worker.join()
+        raise
+    if failed:
+        raise failed[0]
+    for buf, (_, held) in zip(bufs, seams):
+        _add_seam(buf, config, split, held, min(seam, n_frames - split))
     return [_trimmed(buf, config, signals[0].size) for buf in bufs]
 
 

@@ -464,6 +464,16 @@ def _cut_short_wav(path):
     path.write_bytes(path.read_bytes()[: 44 + 2 * 5000])
 
 
+def _without_chunk(name):
+    # a tone whose fmt or data chunk is taken out of write_wav's 44-byte header
+    def write(path):
+        _write_tone(path, 440.0)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + raw[36:] if name == "fmt" else raw[:36])
+
+    return write
+
+
 def _half_silent_wav(path):
     # one second whose first half is digital silence: exact-zero bins
     t = np.arange(RATE) / RATE
@@ -484,6 +494,8 @@ _AWKWARD_WAVS = {
     "stereo": lambda path: wavfile.write(path, RATE, np.full((4000, 2), 99, np.int16)),
     "truncated": _truncated_wav,
     "cut short": _cut_short_wav,
+    "no data chunk": _without_chunk("data"),
+    "no fmt chunk": _without_chunk("fmt"),
     "empty": lambda path: wavfile.write(path, RATE, np.zeros(0, np.int16)),
     "missing": lambda path: None,
     "10 samples": lambda path: _write_tone(path, 440.0, length=10),
@@ -513,6 +525,10 @@ AWKWARD_INPUTS = [
      "malformed or unreadable WAV file {speech}"),
     ("WAV whose data chunk is cut short", "cut short", "noise", (), 2,
      "malformed or unreadable WAV file {speech}: chunk 'data' cut short"),
+    ("WAV without a data chunk", "no data chunk", "noise", (), 2,
+     "malformed or unreadable WAV file {speech}: no data chunk"),
+    ("WAV without a fmt chunk before its data chunk", "no fmt chunk", "noise", (), 2,
+     "malformed or unreadable WAV file {speech}: no fmt chunk before the data chunk"),
     ("WAV without samples", "empty", "noise", (), 2, "{speech} holds no samples"),
     ("missing speech file", "missing", "noise", (), 2,
      "[Errno 2] No such file or directory: '{speech}'"),

@@ -70,3 +70,20 @@ def test_a_text_that_is_not_unique_is_refused_before_any_run(tmp_path, capsys):
 def test_the_catalogue_applies_to_this_tree():
     # each text still occurs once, so the gate runs on this tree
     mutants.check_catalogue(mutants.ROOT, mutants.CATALOGUE)
+
+
+def test_a_failing_id_with_spaces_is_reported_whole():
+    summary = (
+        "=========================== short test summary info ===========================\n"
+        "FAILED tests/test_cli.py::test_awkward_input_has_its_defined_outcome"
+        "[WAV whose data chunk is cut short] - AssertionError: assert 0 == 2\n"
+        "FAILED tests/test_audio.py::test_other - ValueError: x\n"
+    )
+    assert mutants._first_failure(summary) == (
+        "tests/test_cli.py::test_awkward_input_has_its_defined_outcome"
+        "[WAV whose data chunk is cut short]"
+    )
+    # without a message, and an error in collection
+    assert mutants._first_failure("FAILED tests/a.py::test_b[x y]\n") == "tests/a.py::test_b[x y]"
+    assert mutants._first_failure("ERROR tests/a.py - ImportError: no\n") == "tests/a.py"
+    assert mutants._first_failure("1 passed in 0.01s\n") is None

@@ -1,10 +1,13 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from bregsep import transform
 from bregsep.transform import (
     ComplexSpectrogram,
     Measurements,
@@ -345,6 +348,96 @@ class TestKernel:
         spectra.append(ComplexSpectrogram(2.0 * spectra[0].data, config))
         for out, spectrum in zip(outputs, spectra):
             assert np.array_equal(out, istft(spectrum, length).samples)
+
+
+# the kernel's grids with 2 to 8 frames over each sample
+SPLIT_CONFIGS = KERNEL_CONFIGS + [StftConfig(2, 1), StftConfig(64, 8)]
+
+
+class TestSecondThread:
+    """A kernel call with outputs over more than one block runs half its
+    blocks in a second thread where the process may use two CPUs.  The
+    decision is forced here, so both paths run on any host."""
+
+    @staticmethod
+    def _consume(threads):
+        def consume(frames, spectra):
+            threads.add(threading.get_ident())
+            return [spectra[0] - 0.5 * spectra[1], (1.0 + 2.0j) * spectra[1]]
+
+        return consume
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 128])
+    @pytest.mark.parametrize("config", SPLIT_CONFIGS)
+    def test_split_gives_the_serial_bytes(self, monkeypatch, config, block):
+        # block sizes of a few frames leave the second half's first blocks
+        # shorter than the seam of win_length/hop - 1 frames
+        rng = np.random.default_rng(SEED + block + config.win_length + config.hop)
+        monkeypatch.setattr(transform, "_BLOCK_FRAMES", block)
+        # the threads swap often, so the halves interleave in many ways
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for length in rng.integers(1, 300 * config.hop, 6):
+                signals = [rng.standard_normal(length) for _ in range(2)]
+                outputs, threads = {}, {}
+                for split in (False, True):
+                    monkeypatch.setattr(transform, "_second_cpu", lambda: split)
+                    threads[split] = set()
+                    outputs[split] = _stream(signals, config, self._consume(threads[split]), 2)
+                for serial, two in zip(outputs[False], outputs[True]):
+                    assert serial.tobytes() == two.tobytes()
+                assert len(threads[False]) == 1
+                assert len(threads[True]) == (2 if config.n_frames(length) > block else 1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _three_hundred_frames(config):
+        # 300 frames: 64-frame blocks, the caller's at frames 0 and 64, the
+        # thread's at 128, 192 and 256
+        return np.random.default_rng(SEED).standard_normal(_length_for_frames(config, 300))
+
+    def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        config = StftConfig(32, 8)
+
+        def consume(frames, spectra):
+            if frames.start == 192:
+                raise ZeroDivisionError("in %s" % threading.current_thread().name)
+            return [spectra[0]]
+
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="in bregsep-stream"):
+            _stream([self._three_hundred_frames(config)], config, consume, 1)
+        assert threading.active_count() == before
+
+    def test_ctrl_c_in_the_first_half_joins_the_thread(self, monkeypatch):
+        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        config = StftConfig(32, 8)
+
+        def consume(frames, spectra):
+            if frames.start == 64:
+                assert threading.current_thread() is threading.main_thread()
+                raise KeyboardInterrupt
+            return [spectra[0]]
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _stream([self._three_hundred_frames(config)], config, consume, 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("config", SPLIT_CONFIGS)
+    def test_one_block_and_no_outputs_stay_in_the_caller(self, monkeypatch, config):
+        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        x = np.random.default_rng(SEED).standard_normal(_length_for_frames(config, 300))
+        cases = [(x[: _length_for_frames(config, 128)], 2), (x, 0)]
+        for signal, n_out in cases:
+            threads = set()
+            consume = self._consume(threads)
+            _stream([signal, signal], config,
+                    lambda frames, spectra: consume(frames, spectra)[:n_out], n_out)
+            assert threads == {threading.get_ident()}
 
 
 class TestTypes:

@@ -140,6 +140,12 @@ CATALOGUE = [
            "", "chunk cut short not rejected"),
     Mutant("src/bregsep/audio.py", 'tag = struct.unpack_from("<H", fmt, 24)[0]',
            "pass", "extensible sub-format ignored"),
+    # the sixth round: the kernel's second thread
+    Mutant("src/bregsep/transform.py", "    for m in range(n_held):",
+           "    for m in reversed(range(n_held)):",
+           "seam segments added in reverse frame order"),
+    Mutant("src/bregsep/transform.py", "        if seam is not None:",
+           "        if False:", "seam segments not held back"),
 ]
 
 
@@ -155,8 +161,10 @@ def check_catalogue(root, catalogue):
 
 
 def _first_failure(output):
-    """The first failing test in pytest's short summary, or None."""
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    """The first failing test in pytest's short summary, or None: its whole
+    id, spaces in a parameter's id included, up to pytest's " - " before
+    the message."""
+    found = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", output, re.MULTILINE)
     return found.group(1) if found else None
 
 
