@@ -360,10 +360,10 @@ class TestSecondThread:
     decision is forced here, so both paths run on any host."""
 
     @staticmethod
-    def _consume(threads):
+    def _consume(threads, n_out=2):
         def consume(frames, spectra):
             threads.add(threading.get_ident())
-            return [spectra[0] - 0.5 * spectra[1], (1.0 + 2.0j) * spectra[1]]
+            return [spectra[0] - 0.5 * spectra[1], (1.0 + 2.0j) * spectra[1]][:n_out]
 
         return consume
 
@@ -434,9 +434,7 @@ class TestSecondThread:
         cases = [(x[: _length_for_frames(config, 128)], 2), (x, 0)]
         for signal, n_out in cases:
             threads = set()
-            consume = self._consume(threads)
-            _stream([signal, signal], config,
-                    lambda frames, spectra: consume(frames, spectra)[:n_out], n_out)
+            _stream([signal, signal], config, self._consume(threads, n_out), n_out)
             assert threads == {threading.get_ident()}
 
 
