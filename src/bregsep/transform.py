@@ -23,12 +23,11 @@ spectrogram; stft and istft, kept for the public API, are its whole-array
 case.  Elementwise results do not depend on the block size.
 
 A kernel call that synthesises outputs over more than one block uses a
-second CPU when the process may run on one and is no multiprocessing child
-(a sweep worker, whose siblings fill the other CPUs): its blocks are then
-half as long, and a thread of its own, joined before the call returns or
-raises, runs the second half of them.  Every sample still sums its frames
-in frame order, so the bytes are those of the serial loop; `taskset -c 0`
-keeps a process to that loop.
+second CPU when the process may run on one, a sweep worker included: its
+blocks are then half as long, and a thread of its own, joined before the
+call returns or raises, runs the second half of them.  Every sample still
+sums its frames in frame order, so the bytes are those of the serial loop;
+`taskset -c 0` keeps a process to that loop.
 
 The kernel applies the unitary scale 1/sqrt(win_length) in its window, and
 runs FFTs that scale nothing, where the scale is a power of two (win_length
@@ -37,7 +36,6 @@ values, so results are bit for bit those of norm="ortho", which other
 win_length keep.
 """
 
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
@@ -348,10 +346,19 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _second_cpu():
-    """Whether a kernel call may run half its blocks in a second thread: the
-    process may run on more than one CPU and is no multiprocessing child."""
-    return _usable_cpus() > 1 and multiprocessing.parent_process() is None
+def _join(thread, stop):
+    """Wait until thread, if it was started, has ended.  A KeyboardInterrupt
+    while waiting sets stop, so the thread ends after its current block, and
+    is raised once it has."""
+    interrupt = None
+    while thread.is_alive():
+        try:
+            thread.join()
+        except KeyboardInterrupt as exc:
+            stop.set()
+            interrupt = exc
+    if interrupt is not None:
+        raise interrupt
 
 
 def _stream(signals, config, consume, n_out=0):
@@ -367,7 +374,7 @@ def _stream(signals, config, consume, n_out=0):
     works element by element, results do not depend on the block size.
 
     Blocks reach consume in frame order.  With outputs, more than
-    _BLOCK_FRAMES frames and :func:`_second_cpu`, the blocks are half as
+    _BLOCK_FRAMES frames and two usable CPUs, the blocks are half as
     long, so the two in flight hold what one block does; the caller's thread
     runs the first half of them and a thread started here the rest, each in
     frame order and under the caller's numpy error state, so consume must be
@@ -386,7 +393,7 @@ def _stream(signals, config, consume, n_out=0):
             for buf, seam in zip(bufs, seams):
                 _overlap_add(spectra.pop(0), config, buf, first, seam)
 
-    if not (n_out and n_frames > _BLOCK_FRAMES and _second_cpu()):
+    if not (n_out and n_frames > _BLOCK_FRAMES and _usable_cpus() > 1):
         run(range(0, n_frames, _BLOCK_FRAMES), _BLOCK_FRAMES, [None] * n_out)
         return [_trimmed(buf, config, signals[0].size) for buf in bufs]
     size = max(_BLOCK_FRAMES // 2, 1)
@@ -404,15 +411,15 @@ def _stream(signals, config, consume, n_out=0):
             failed.append(exc)
 
     worker = threading.Thread(target=second_half, name="bregsep-stream")
-    worker.start()
     try:
+        worker.start()
         run(firsts[:half], size, [None] * n_out)
-        worker.join()
     except BaseException:
         # an error or Ctrl-C here: the thread stops after its current block
         stop.set()
-        worker.join()
         raise
+    finally:
+        _join(worker, stop)
     if failed:
         raise failed[0]
     for buf, (_, held) in zip(bufs, seams):

@@ -236,21 +236,27 @@ class TestPhaseSynthesis:
             return stream(signals, config, recording_consume, n_out)
 
         monkeypatch.setattr(solvers, "_stream", recording_stream)
-        solvers._phase_synthesis(measurements, x, CFG)
         spectra = stft(Signal(x), CFG).data
-        # three blocks, or more and half as long when two threads take them
-        blocks.sort(key=lambda block: block[0].start)
-        n = len(blocks)
-        assert n >= 3
-        has_zero = [not np.abs(spectra[:, frames]).all() for frames, _ in blocks]
-        assert has_zero == {"none": [False] * n, "some": [True] + [False] * (n - 1),
-                            "all": [True] * n}[zeros]
-        for frames, products in blocks:
-            want = _masked_products(measurements, spectra[:, frames], frames)
-            assert len(products) == len(want)
-            for got, ref in zip(products, want):
-                assert np.array_equal(got.real, ref.real)
-                assert np.array_equal(got.imag, ref.imag)
+        assert CFG.n_frames(length) == 303
+        # three 128-frame blocks in one thread, or five 64-frame blocks when a
+        # second thread takes the last three
+        for cpus, starts, size in [(1, [0, 128, 256], 128), (2, [0, 64, 128, 192, 256], 64)]:
+            monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+            blocks.clear()
+            solvers._phase_synthesis(measurements, x, CFG)
+            # the two threads' blocks interleave; each thread's come in frame order
+            blocks.sort(key=lambda block: block[0].start)
+            assert [frames for frames, _ in blocks] == [slice(s, s + size) for s in starts]
+            n = len(starts)
+            has_zero = [not np.abs(spectra[:, frames]).all() for frames, _ in blocks]
+            assert has_zero == {"none": [False] * n, "some": [True] + [False] * (n - 1),
+                                "all": [True] * n}[zeros]
+            for frames, products in blocks:
+                want = _masked_products(measurements, spectra[:, frames], frames)
+                assert len(products) == len(want)
+                for got, ref in zip(products, want):
+                    assert np.array_equal(got.real, ref.real)
+                    assert np.array_equal(got.imag, ref.imag)
 
 
 class TestGriffinLim:
@@ -584,7 +590,7 @@ class TestProjectedGradient:
     # sources near 1e200 overflow |S|^2 in the start's update at d = 2
     @pytest.mark.parametrize("beta, direction", [(0.0, "left"), (1.0, "right")])
     def test_overflow_in_the_second_thread_warns_nowhere(self, monkeypatch, beta, direction):
-        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
         rng = np.random.default_rng(SEED + 44)
         length = 300 * CFG.hop
         x = Signal(rng.standard_normal(length))

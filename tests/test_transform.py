@@ -382,7 +382,7 @@ class TestSecondThread:
                 signals = [rng.standard_normal(length) for _ in range(2)]
                 outputs, threads = {}, {}
                 for split in (False, True):
-                    monkeypatch.setattr(transform, "_second_cpu", lambda: split)
+                    monkeypatch.setattr(transform, "_usable_cpus", lambda: 1 + split)
                     threads[split] = set()
                     outputs[split] = _stream(signals, config, self._consume(threads[split]), 2)
                 for serial, two in zip(outputs[False], outputs[True]):
@@ -399,7 +399,7 @@ class TestSecondThread:
         return np.random.default_rng(SEED).standard_normal(_length_for_frames(config, 300))
 
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
         config = StftConfig(32, 8)
 
         def consume(frames, spectra):
@@ -413,7 +413,7 @@ class TestSecondThread:
         assert threading.active_count() == before
 
     def test_ctrl_c_in_the_first_half_joins_the_thread(self, monkeypatch):
-        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
         config = StftConfig(32, 8)
 
         def consume(frames, spectra):
@@ -427,9 +427,38 @@ class TestSecondThread:
             _stream([self._three_hundred_frames(config)], config, consume, 1)
         assert threading.active_count() == before
 
+    def test_ctrl_c_twice_while_waiting_stops_and_joins_the_thread(self, monkeypatch):
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+        config = StftConfig(32, 8)
+        joins, released, seen = [], threading.Event(), []
+
+        class Interrupted(threading.Thread):
+            # Ctrl-C lands in the caller's first two waits for the thread
+            def join(self, timeout=None):
+                joins.append(timeout)
+                if len(joins) <= 2:
+                    raise KeyboardInterrupt
+                released.set()
+                super().join(timeout)
+
+        def consume(frames, spectra):
+            if threading.current_thread() is not threading.main_thread():
+                seen.append(frames.start)
+                # hold the thread's first block until the caller waits a third time
+                assert released.wait(10.0)
+            return [spectra[0]]
+
+        monkeypatch.setattr(threading, "Thread", Interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _stream([self._three_hundred_frames(config)], config, consume, 1)
+        assert threading.active_count() == before
+        # the thread stopped after the block it was running
+        assert seen == [128]
+
     @pytest.mark.parametrize("config", SPLIT_CONFIGS)
     def test_one_block_and_no_outputs_stay_in_the_caller(self, monkeypatch, config):
-        monkeypatch.setattr(transform, "_second_cpu", lambda: True)
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
         x = np.random.default_rng(SEED).standard_normal(_length_for_frames(config, 300))
         cases = [(x[: _length_for_frames(config, 128)], 2), (x, 0)]
         for signal, n_out in cases:
