@@ -281,7 +281,8 @@ def _check_mixture_id(mixture_id):
 def _check_output_files(ns):
     """Reject an output path that cannot be written, before any input is
     read: a --csv, --out or --out-noise that is a directory or in no
-    directory, or an --out-dir whose deepest existing part is not one."""
+    directory, an --out-dir whose deepest existing part is not one, or an
+    output that is the same file as an input or another output."""
     if ns.get("out_dir"):
         path = Path(ns["out_dir"])
         # the deepest existing part, a broken link too; mkdir makes the rest
@@ -301,6 +302,22 @@ def _check_output_files(ns):
             raise ValueError(
                 "%s %r: directory %r does not exist" % (flag, text, str(path.parent))
             )
+    files = {}
+    for dest in ("speech", "noise", "manifest"):
+        if ns.get(dest) is not None:
+            files.setdefault(os.path.realpath(ns[dest]), "--" + dest)
+    outputs = [("--" + dest.replace("_", "-"), ns.get(dest))
+               for dest in ("csv", "out", "out_noise")]
+    if ns.get("out_dir"):
+        outputs += [("--out-dir", os.path.join(ns["out_dir"], name))
+                    for name in ("mixture.wav", "source_0.wav", "source_1.wav")]
+    for flag, text in outputs:
+        if text is None:
+            continue
+        real = os.path.realpath(text)
+        if real in files:
+            raise ValueError("%s %r is the same file as %s" % (flag, text, files[real]))
+        files[real] = flag
 
 
 def _write_csv(path, lines):

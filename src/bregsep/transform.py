@@ -24,10 +24,13 @@ case.  Elementwise results do not depend on the block size.
 
 A kernel call that synthesises outputs over more than one block uses a
 second CPU when the process may run on one, a sweep worker included: its
-blocks are then half as long, and a thread of its own, joined before the
-call returns or raises, runs the second half of them.  Every sample still
-sums its frames in frame order, so the bytes are those of the serial loop;
-`taskset -c 0` keeps a process to that loop.
+blocks are then half as long, and its frames are cut in two parts at a
+block edge.  A thread of its own, joined before the call returns or raises,
+runs the second part and owns the output samples from the cut on; it also
+runs the win_length/hop - 1 frames before the cut that reach them.  Every
+sample thus sums its frames in frame order in one thread, so the bytes are
+those of the serial loop, the one-part case; `taskset -c 0` keeps a process
+to that case.
 
 The kernel applies the unitary scale 1/sqrt(win_length) in its window, and
 runs FFTs that scale nothing, where the scale is a power of two (win_length
@@ -289,15 +292,12 @@ def _analyse(frames, config):
     return np.fft.rfft(frames * window, axis=1, norm=norm).T
 
 
-def _overlap_add(spectra, config, buf, first, seam=None):
-    """Synthesise spectra as frames first, first + 1, ... into buf.
+def _overlap_add(spectra, config, buf, first, owned=slice(None)):
+    """Synthesise spectra as frames first, first + 1, ... into buf, adding
+    only the segments that land in its owned slice of hop-long chunks.
 
     win_length/hop strided adds of hop-long segments, last segment first:
     each sample sums its frames in frame order, across calls in frame order.
-    With seam = (split, held), the segments that frames from split on add to
-    the win_length/hop - 1 chunks of hop samples from split on, which frames
-    before split reach too, are copied to held[frame - split, segment]
-    instead, for :func:`_add_seam` to add.
     """
     hop, overlap = config.hop, config.win_length // config.hop
     n_frames = spectra.shape[1]
@@ -305,26 +305,13 @@ def _overlap_add(spectra, config, buf, first, seam=None):
     frames = np.fft.irfft(spectra.T, n=config.win_length, axis=1, norm=norm)
     frames *= window
     segments = frames.reshape(n_frames, overlap, hop)
-    chunks = buf.reshape(-1, hop)[first:]
+    chunks = buf.reshape(-1, hop)
+    lo, hi, _ = owned.indices(len(chunks))
     for k in reversed(range(overlap)):
-        # the first `kept` frames' segment k lands on a seam chunk
-        kept = 0
-        if seam is not None:
-            split, held = seam
-            kept = min(max(split + overlap - 1 - first - k, 0), n_frames)
-            if kept:
-                held[first - split : first - split + kept, k] = segments[:kept, k]
-        chunks[k + kept : k + n_frames] += segments[kept:, k]
-
-
-def _add_seam(buf, config, split, held, n_held):
-    """Add the held segments of frames split, split + 1, ... (n_held of
-    them, see :func:`_overlap_add`) into buf after every earlier frame's,
-    frame by frame in frame order."""
-    seam = config.win_length // config.hop - 1
-    chunks = buf.reshape(-1, config.hop)[split:]
-    for m in range(n_held):
-        chunks[m:seam] += held[m, : seam - m]
+        # frame first + j's segment k lands on chunk first + j + k
+        start = min(max(lo - first - k, 0), n_frames)
+        end = max(min(hi - first - k, n_frames), start)
+        chunks[first + k + start : first + k + end] += segments[start:end, k]
 
 
 def _trimmed(buf, config, target_length):
@@ -373,57 +360,66 @@ def _stream(signals, config, consume, n_out=0):
     :func:`stft` and :func:`istft`, the whole-array case, so while consume
     works element by element, results do not depend on the block size.
 
-    Blocks reach consume in frame order.  With outputs, more than
-    _BLOCK_FRAMES frames and two usable CPUs, the blocks are half as
-    long, so the two in flight hold what one block does; the caller's thread
-    runs the first half of them and a thread started here the rest, each in
-    frame order and under the caller's numpy error state, so consume must be
-    safe to call from two threads at once.  The thread is joined before this
-    returns or raises, and what it raised is raised here.
+    The frames run as parts, each a first frame, an end frame and the slice
+    of hop-long output chunks it writes; a part's blocks reach consume in
+    frame order.  One part covers everything, unless there are outputs,
+    more than _BLOCK_FRAMES frames and two usable CPUs.  Then the blocks are
+    half as long, so the two in flight hold what one block does, and the
+    frames are cut at a block edge near the middle: the caller's thread runs
+    the frames and writes the chunks before the cut, and a thread started
+    here runs the frames from win_length/hop - 1 before the cut, the ones
+    that reach its first chunks too, and writes the chunks from the cut on.
+    Each chunk thus sums all its frames in frame order in one thread.  The
+    thread runs under the caller's numpy error state; it is joined before
+    this returns or raises, and what it raised is raised here.  So with
+    outputs, consume must be safe to call from two threads at once, and a
+    pure function of its arguments: the frames just before the cut reach it
+    twice, once from each thread.
     """
     views = [_frames(x, config) for x in signals]
     n_frames = len(views[0])
     bufs = [_buffer(n_frames, config) for _ in range(n_out)]
+    size, parts = _BLOCK_FRAMES, [(0, n_frames, slice(None))]
+    if n_out and n_frames > _BLOCK_FRAMES and _usable_cpus() > 1:
+        size = max(_BLOCK_FRAMES // 2, 1)
+        cut = len(range(0, n_frames, size)) // 2 * size
+        rerun = max(cut - (config.win_length // config.hop - 1), 0)
+        parts = [(0, cut, slice(0, cut)), (rerun, n_frames, slice(cut, None))]
+    errors, stop, failed = np.geterr(), threading.Event(), []
 
-    def run(firsts, size, seams):
-        for first in firsts:
+    def run(start, end, owned):
+        for first in range(start, end, size):
+            if stop.is_set():
+                return
             frames = slice(first, first + size)
             spectra = consume(frames, [_analyse(view[frames], config) for view in views])
             # each spectrum is dropped once synthesised
-            for buf, seam in zip(bufs, seams):
-                _overlap_add(spectra.pop(0), config, buf, first, seam)
+            for buf in bufs:
+                _overlap_add(spectra.pop(0), config, buf, first, owned)
 
-    if not (n_out and n_frames > _BLOCK_FRAMES and _usable_cpus() > 1):
-        run(range(0, n_frames, _BLOCK_FRAMES), _BLOCK_FRAMES, [None] * n_out)
-        return [_trimmed(buf, config, signals[0].size) for buf in bufs]
-    size = max(_BLOCK_FRAMES // 2, 1)
-    firsts = range(0, n_frames, size)
-    half = len(firsts) // 2
-    split, seam = firsts[half], config.win_length // config.hop - 1
-    seams = [(split, np.zeros((seam, seam, config.hop))) for _ in bufs]
-    errors, stop, failed = np.geterr(), threading.Event(), []
-
-    def second_half():
+    def run_in_thread(*part):
         try:
             with np.errstate(**errors):
-                run((first for first in firsts[half:] if not stop.is_set()), size, seams)
+                run(*part)
         except BaseException as exc:  # raised again in the caller's thread
             failed.append(exc)
 
-    worker = threading.Thread(target=second_half, name="bregsep-stream")
+    # a thread for each part after the first: none for a serial call
+    workers = [threading.Thread(target=run_in_thread, args=part, name="bregsep-stream")
+               for part in parts[1:]]
     try:
-        worker.start()
-        run(firsts[:half], size, [None] * n_out)
+        for worker in workers:
+            worker.start()
+        run(*parts[0])
     except BaseException:
         # an error or Ctrl-C here: the thread stops after its current block
         stop.set()
         raise
     finally:
-        _join(worker, stop)
+        for worker in workers:
+            _join(worker, stop)
     if failed:
         raise failed[0]
-    for buf, (_, held) in zip(bufs, seams):
-        _add_seam(buf, config, split, held, min(seam, n_frames - split))
     return [_trimmed(buf, config, signals[0].size) for buf in bufs]
 
 

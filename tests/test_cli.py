@@ -150,6 +150,28 @@ class TestMix:
         assert "%s %r" % (flag, bad) in captured.err and message in captured.err
         assert set(wavs["dir"].rglob("*")) == before
 
+    @pytest.mark.parametrize("outputs, message", [
+        (("--out", "a.wav", "--out-noise", "a.wav"),
+         "--out-noise 'a.wav' is the same file as --out"),
+        (("--out", "noise.wav"), "--out 'noise.wav' is the same file as --noise"),
+        (("--out", "a.wav", "--out-noise", "./sub/../tone.wav"),
+         "--out-noise './sub/../tone.wav' is the same file as --speech"),
+    ], ids=["out-noise is out", "out is noise", "out-noise is speech"])
+    def test_output_that_is_an_input_or_another_output_rejected(
+        self, wavs, capsys, monkeypatch, outputs, message
+    ):
+        monkeypatch.chdir(wavs["dir"])
+        (wavs["dir"] / "sub").mkdir()
+        before = {path: path.read_bytes() for path in wavs["dir"].glob("*.wav")}
+        code = cli.main([
+            "mix", "--speech", wavs["speech"], "--noise", wavs["noise"], *outputs,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        assert {path: path.read_bytes() for path in wavs["dir"].glob("*.wav")} == before
+
     def test_snr_whose_noise_underflows_rejected(self, wavs, capsys):
         out = wavs["dir"] / "mixture.wav"
         with warnings.catch_warnings():
@@ -564,6 +586,8 @@ AWKWARD_INPUTS = [
     ("out-dir is a file", "tone", "noise",
      ("--out-dir", "noise.wav", "--csv", "row.csv"), 2,
      "--out-dir 'noise.wav': 'noise.wav' is not a directory"),
+    ("CSV that is the noise WAV", "tone", "noise", ("--csv", "noise.wav"), 2,
+     "--csv 'noise.wav' is the same file as --noise"),
 ]
 
 
@@ -942,6 +966,23 @@ class TestSweep:
         assert "--csv" in captured.err and "does not exist" in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+        assert calls == []
+
+    def test_csv_that_is_the_manifest_rejected_before_any_run(
+        self, sweep_setup, capsys, monkeypatch
+    ):
+        _in_process(monkeypatch)
+        calls = []
+        monkeypatch.setattr(cli, "projected_gradient", lambda *a, **k: calls.append(1))
+        manifest = Path(sweep_setup["manifest"])
+        text = manifest.read_text()
+        code, _ = _sweep(sweep_setup, manifest.name)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --csv %r is the same file as --manifest\n" % str(
+            manifest)
+        assert manifest.read_text() == text
         assert calls == []
 
     def test_grid_that_is_not_cola_rejected_before_any_input(

@@ -239,8 +239,9 @@ class TestPhaseSynthesis:
         spectra = stft(Signal(x), CFG).data
         assert CFG.n_frames(length) == 303
         # three 128-frame blocks in one thread, or five 64-frame blocks when a
-        # second thread takes the last three
-        for cpus, starts, size in [(1, [0, 128, 256], 128), (2, [0, 64, 128, 192, 256], 64)]:
+        # second thread takes the last three, from win_length/hop - 1 = 3
+        # frames before the cut at 128
+        for cpus, starts, size in [(1, [0, 128, 256], 128), (2, [0, 64, 125, 189, 253], 64)]:
             monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
             blocks.clear()
             solvers._phase_synthesis(measurements, x, CFG)

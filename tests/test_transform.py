@@ -355,8 +355,9 @@ SPLIT_CONFIGS = KERNEL_CONFIGS + [StftConfig(2, 1), StftConfig(64, 8)]
 
 
 class TestSecondThread:
-    """A kernel call with outputs over more than one block runs half its
-    blocks in a second thread where the process may use two CPUs.  The
+    """A kernel call with outputs over more than one block runs its frames
+    from near the middle on in a second thread where the process may use
+    two CPUs.  The
     decision is forced here, so both paths run on any host."""
 
     @staticmethod
@@ -370,8 +371,8 @@ class TestSecondThread:
     @pytest.mark.parametrize("block", [1, 3, 7, 128])
     @pytest.mark.parametrize("config", SPLIT_CONFIGS)
     def test_split_gives_the_serial_bytes(self, monkeypatch, config, block):
-        # block sizes of a few frames leave the second half's first blocks
-        # shorter than the seam of win_length/hop - 1 frames
+        # block sizes of a few frames spread the win_length/hop - 1 frames
+        # that both threads run over several of the thread's blocks
         rng = np.random.default_rng(SEED + block + config.win_length + config.hop)
         monkeypatch.setattr(transform, "_BLOCK_FRAMES", block)
         # the threads swap often, so the halves interleave in many ways
@@ -394,8 +395,9 @@ class TestSecondThread:
 
     @staticmethod
     def _three_hundred_frames(config):
-        # 300 frames: 64-frame blocks, the caller's at frames 0 and 64, the
-        # thread's at 128, 192 and 256
+        # 300 frames: 64-frame blocks cut at frame 128, the caller's at
+        # frames 0 and 64, the thread's at 128 - (win_length/hop - 1) and
+        # 64 and 128 frames on: 125, 189 and 253 at StftConfig(32, 8)
         return np.random.default_rng(SEED).standard_normal(_length_for_frames(config, 300))
 
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
@@ -403,7 +405,7 @@ class TestSecondThread:
         config = StftConfig(32, 8)
 
         def consume(frames, spectra):
-            if frames.start == 192:
+            if frames.start == 189:
                 raise ZeroDivisionError("in %s" % threading.current_thread().name)
             return [spectra[0]]
 
@@ -454,7 +456,35 @@ class TestSecondThread:
             _stream([self._three_hundred_frames(config)], config, consume, 1)
         assert threading.active_count() == before
         # the thread stopped after the block it was running
-        assert seen == [128]
+        assert seen == [125]
+
+    @pytest.mark.parametrize("config", SPLIT_CONFIGS)
+    def test_the_frames_before_the_cut_run_once_in_each_thread(self, monkeypatch, config):
+        monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+        calls = []
+
+        def consume(frames, spectra):
+            calls.append((threading.get_ident(), frames))
+            return [spectra[0]]
+
+        _stream([self._three_hundred_frames(config)], config, consume, 1)
+        caller = threading.get_ident()
+        blocks = {ident: [frames.start for i, frames in calls if i == ident]
+                  for ident, _ in calls}
+        rerun = config.win_length // config.hop - 1
+        # each thread's blocks in frame order, the thread's from rerun
+        # frames before the cut at 128
+        assert blocks.pop(caller) == [0, 64]
+        assert list(blocks.values()) == [[128 - rerun, 192 - rerun, 256 - rerun]]
+        threads = {}
+        for ident, frames in calls:
+            for frame in range(frames.start, min(frames.stop, 300)):
+                threads.setdefault(frame, []).append(ident)
+        assert sorted(threads) == list(range(300))
+        twice = [frame for frame, idents in threads.items() if len(idents) > 1]
+        assert twice == list(range(128 - rerun, 128))
+        for frame in twice:
+            assert len(set(threads[frame])) == 2
 
     @pytest.mark.parametrize("config", SPLIT_CONFIGS)
     def test_one_block_and_no_outputs_stay_in_the_caller(self, monkeypatch, config):

@@ -141,11 +141,12 @@ CATALOGUE = [
     Mutant("src/bregsep/audio.py", 'tag = struct.unpack_from("<H", fmt, 24)[0]',
            "pass", "extensible sub-format ignored"),
     # the sixth round: the kernel's second thread
-    Mutant("src/bregsep/transform.py", "    for m in range(n_held):",
-           "    for m in reversed(range(n_held)):",
-           "seam segments added in reverse frame order"),
-    Mutant("src/bregsep/transform.py", "        if seam is not None:",
-           "        if False:", "seam segments not held back"),
+    Mutant("src/bregsep/transform.py",
+           "rerun = max(cut - (config.win_length // config.hop - 1), 0)",
+           "rerun = cut", "second part starts at the cut, no frames re-run"),
+    Mutant("src/bregsep/transform.py", "lo, hi, _ = owned.indices(len(chunks))",
+           "lo, hi = 0, len(chunks)",
+           "chunk slice ignored, both threads add to the cut's chunks"),
 ]
 
 
