@@ -291,11 +291,10 @@ def _check_output_files(ns):
             raise ValueError(
                 "--out-dir %r: %r is not a directory" % (ns["out_dir"], str(part))
             )
-    for dest in ("csv", "out", "out_noise"):
-        text = ns.get(dest)
-        if text is None:
-            continue
-        flag, path = "--" + dest.replace("_", "-"), Path(text)
+    outputs = [("--" + dest.replace("_", "-"), ns[dest])
+               for dest in ("csv", "out", "out_noise") if ns.get(dest) is not None]
+    for flag, text in outputs:
+        path = Path(text)
         if path.is_dir():
             raise ValueError("%s %r is a directory" % (flag, text))
         if not path.parent.is_dir():
@@ -306,14 +305,10 @@ def _check_output_files(ns):
     for dest in ("speech", "noise", "manifest"):
         if ns.get(dest) is not None:
             files.setdefault(os.path.realpath(ns[dest]), "--" + dest)
-    outputs = [("--" + dest.replace("_", "-"), ns.get(dest))
-               for dest in ("csv", "out", "out_noise")]
     if ns.get("out_dir"):
         outputs += [("--out-dir", os.path.join(ns["out_dir"], name))
                     for name in ("mixture.wav", "source_0.wav", "source_1.wav")]
     for flag, text in outputs:
-        if text is None:
-            continue
         real = os.path.realpath(text)
         if real in files:
             raise ValueError("%s %r is the same file as %s" % (flag, text, files[real]))
