@@ -19,6 +19,9 @@ _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 # the encodings load_wav accepts, by name, and their sample dtypes
 _ACCEPTED = {"int16": "<i2", "float32": "<f4"}
+# the largest sample rate whose 16-bit byte rate, twice it, fits the
+# header's unsigned 32-bit field
+_MAX_RATE = 2147483647
 
 
 def _read_wav(raw):
@@ -52,6 +55,14 @@ def _read_wav(raw):
     return rate, channels, encoding, body
 
 
+def _check_rate(path, rate):
+    if rate > _MAX_RATE:
+        raise ValueError(
+            "%s: sample rate %d Hz is above %d, the largest a 16-bit WAV holds"
+            % (path, rate, _MAX_RATE)
+        )
+
+
 def load_wav(path):
     """Load a mono WAV file as a Signal.
 
@@ -64,8 +75,9 @@ def load_wav(path):
     Raises:
         OSError: the file cannot be opened or read.
         ValueError: multichannel data, unsupported encoding, a malformed
-            header, a chunk cut short, no samples, or a non-finite float
-            sample; the message names the file.
+            header, a chunk cut short, no samples, a non-finite float
+            sample, or a sample rate above 2147483647 that write_wav
+            cannot write back; the message names the file.
     """
     with open(path, "rb") as file:
         raw = file.read()
@@ -82,6 +94,7 @@ def load_wav(path):
             "%s: unsupported encoding %s (expected 16-bit PCM or 32-bit float)"
             % (path, encoding)
         )
+    _check_rate(path, rate)
     dtype = np.dtype(_ACCEPTED[encoding])
     # a trailing partial sample is dropped
     samples = np.frombuffer(data, dtype, len(data) // dtype.itemsize).astype(np.float64)
@@ -100,8 +113,10 @@ def write_wav(path, signal):
     """Write a Signal as mono 16-bit PCM, the inverse of :func:`load_wav`.
 
     Samples outside the representable range saturate; a warning reports how
-    many were clipped.
+    many were clipped.  A sample rate above 2147483647 raises ValueError
+    before the file is opened.
     """
+    _check_rate(path, signal.sample_rate)
     scaled = np.rint(signal.samples * _PCM_SCALE)
     clipped = int(np.count_nonzero((scaled < -32768) | (scaled > 32767)))
     if clipped:

@@ -63,6 +63,8 @@ CSV_HEADER = (
 Row = namedtuple("Row", CSV_HEADER)
 _ROW_FORMAT = "%s,%.6f,%d,%s,%.6f,%.6f,%.6f,%d,%s,%s,%.6f,%.6f,%.6f"
 MANIFEST_FIELDS = ("mixture_id", "speech", "noise", "snr_db", "seed", "split")
+# the files `separate --out-dir` writes: the mixture, then each estimate
+_OUT_DIR_FILES = ("mixture.wav", "source_0.wav", "source_1.wav")
 
 # keeps per-mixture provider streams apart for any base seed
 _SEED_STRIDE = 1_000_003
@@ -280,9 +282,18 @@ def _check_mixture_id(mixture_id):
 
 def _check_output_files(ns):
     """Reject an output path that cannot be written, before any input is
-    read: a --csv, --out or --out-noise that is a directory or in no
-    directory, an --out-dir whose deepest existing part is not one, or an
-    output that is the same file as an input or another output."""
+    read: a --csv, --out or --out-noise in no directory, an --out-dir whose
+    deepest existing part is not one, and then (by _check_outputs) any of
+    those outputs or of the --out-dir files that is a directory or the same
+    file as an input or another output."""
+    outputs = [("--" + dest.replace("_", "-"), ns[dest])
+               for dest in ("csv", "out", "out_noise") if ns.get(dest) is not None]
+    for flag, text in outputs:
+        parent = Path(text).parent
+        if not parent.is_dir():
+            raise ValueError(
+                "%s %r: directory %r does not exist" % (flag, text, str(parent))
+            )
     if ns.get("out_dir"):
         path = Path(ns["out_dir"])
         # the deepest existing part, a broken link too; mkdir makes the rest
@@ -291,24 +302,25 @@ def _check_output_files(ns):
             raise ValueError(
                 "--out-dir %r: %r is not a directory" % (ns["out_dir"], str(part))
             )
-    outputs = [("--" + dest.replace("_", "-"), ns[dest])
-               for dest in ("csv", "out", "out_noise") if ns.get(dest) is not None]
-    for flag, text in outputs:
-        path = Path(text)
-        if path.is_dir():
-            raise ValueError("%s %r is a directory" % (flag, text))
-        if not path.parent.is_dir():
-            raise ValueError(
-                "%s %r: directory %r does not exist" % (flag, text, str(path.parent))
-            )
-    files = {}
-    for dest in ("speech", "noise", "manifest"):
-        if ns.get(dest) is not None:
-            files.setdefault(os.path.realpath(ns[dest]), "--" + dest)
-    if ns.get("out_dir"):
         outputs += [("--out-dir", os.path.join(ns["out_dir"], name))
-                    for name in ("mixture.wav", "source_0.wav", "source_1.wav")]
+                    for name in _OUT_DIR_FILES]
+    _check_outputs(
+        [("--" + dest, ns[dest]) for dest in ("speech", "noise", "manifest")
+         if ns.get(dest) is not None],
+        outputs,
+    )
+
+
+def _check_outputs(inputs, outputs):
+    """Reject an output (a (flag, path) pair) that is a directory, or that
+    resolves to the same file as an input (a (name, path) pair, the first
+    name of a file) or an earlier output."""
+    files = {}
+    for name, text in inputs:
+        files.setdefault(os.path.realpath(text), name)
     for flag, text in outputs:
+        if Path(text).is_dir():
+            raise ValueError("%s %r is a directory" % (flag, text))
         real = os.path.realpath(text)
         if real in files:
             raise ValueError("%s %r is the same file as %s" % (flag, text, files[real]))
@@ -444,9 +456,8 @@ def _cmd_separate(ns):
     if ns["out_dir"] and estimates is not None:
         out_dir = Path(ns["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_wav(out_dir / "mixture.wav", block.mixture)
-        for index, source in enumerate(estimates):
-            write_wav(out_dir / ("source_%d.wav" % index), source)
+        for name, signal in zip(_OUT_DIR_FILES, [block.mixture, *estimates]):
+            write_wav(out_dir / name, signal)
     return 0
 
 
@@ -467,7 +478,8 @@ def _read_manifest(path):
             directory.
 
     Returns:
-        List of dicts with typed fields, in file order.
+        List of dicts with typed fields and the record's line number
+        ("line"), in file order.
     """
     base = Path(path).resolve().parent
     with open(path, newline="") as handle:
@@ -496,6 +508,7 @@ def _read_manifest(path):
             if seed < 0:
                 raise ValueError("manifest line %d: seed must be >= 0" % line_no)
             rows.append({
+                "line": line_no,
                 "mixture_id": mixture_id,
                 "speech": _resolve_manifest_path(record["speech"], base),
                 "noise": _resolve_manifest_path(record["noise"], base),
@@ -551,24 +564,27 @@ def _sweep_group(block, task):
 
     Args:
         block: the (mixture, d) _Block.
-        task: (beta, direction, steps, iterations).
+        task: (beta, direction, labels, steps, iterations), as
+            _distinct_groups builds it.
 
     Returns:
-        The group's Rows, in step-size order.
+        The group's finished Rows, in step-size order: the labels are
+        applied here, each cell's Row written under every one of them.
     """
-    beta, direction, steps, iterations = task
+    beta, direction, labels, steps, iterations = task
     spec = DivergenceSpec(beta, direction, block.measurements[0].d)
     # shared by every step size; the first cell that iterates computes the
     # first direction in it for all of them
     start = pgd_start(
         block.measurements, block.mixture, spec, block.stft_config, block.init
     )
-    # each cell's estimates are dropped at once: held into the next cell,
-    # next to the shared start, they raised the sweep's peak memory
-    return [
-        _run_cell(block, "pgd", SolverConfig(spec, step, iterations), start)[0]
-        for step in steps
-    ]
+    rows = []
+    for step in steps:
+        # each cell's estimates are dropped at once: held into the next
+        # cell, next to the shared start, they raised the sweep's peak memory
+        row = _run_cell(block, "pgd", SolverConfig(spec, step, iterations), start)[0]
+        rows += [row._replace(direction=label) for label in labels]
+    return rows
 
 
 # a pool worker's block: inherited at fork with the initializer's
@@ -606,7 +622,9 @@ def _sweep_workers(groups):
 
 
 def _run_groups(block, tasks):
-    """_sweep_group's Rows for every task of the block, in task order.
+    """The finished Rows of every task of the block, as one list in task
+    order: each group's Rows come from _sweep_group already labelled, on
+    both paths.
 
     With one worker the groups run in this process.  Otherwise they run in
     a pool of forked workers.  On every path, an error or Ctrl-C included,
@@ -620,7 +638,7 @@ def _run_groups(block, tasks):
     """
     workers = _sweep_workers(len(tasks))
     if workers == 1:
-        return [_sweep_group(block, task) for task in tasks]
+        return [row for task in tasks for row in _sweep_group(block, task)]
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -639,7 +657,7 @@ def _run_groups(block, tasks):
             while not wait([future], _INTERRUPT_POLL_S).done:
                 if interrupts:
                     raise KeyboardInterrupt
-            rows.append(future.result())
+            rows += future.result()
     finally:
         pool.shutdown(cancel_futures=True)
         if held:
@@ -649,9 +667,10 @@ def _run_groups(block, tasks):
     return rows
 
 
-def _distinct_groups(betas, directions):
-    """The (beta, direction) groups of a block, each with the directions
-    its Rows are written under.
+def _distinct_groups(betas, directions, steps, iterations):
+    """The tasks of a block: one (beta, direction, labels, steps,
+    iterations) per (beta, direction) group that runs, where labels are
+    the directions its Rows are written under.
 
     At beta 2 the loss (r - z)^2 / 2 is symmetric: both directions' gradient
     terms reduce to |S|^d - r, bit for bit, so one run under the first
@@ -662,14 +681,16 @@ def _distinct_groups(betas, directions):
     last.
 
     Returns:
-        Dict mapping each (beta, direction) group to its Rows' directions.
+        The tasks in the order they start; _sweep_group applies each
+        task's labels to its Rows.
     """
     groups = {}
     for beta in sorted(betas, reverse=True):
         for direction in directions:
             run = directions[0] if beta == 2.0 else direction
             groups.setdefault((beta, run), []).append(direction)
-    return groups
+    return [group + (tuple(labels), steps, iterations)
+            for group, labels in groups.items()]
 
 
 def _cmd_sweep(ns):
@@ -677,11 +698,17 @@ def _cmd_sweep(ns):
     if not all(np.isfinite(step) and step > 0 for step in steps):
         raise ValueError("step sizes must be positive and finite")
     provider, stft_config = _records(ns)
-    rows = [r for r in _read_manifest(ns["manifest"]) if r["split"] == ns["split"]]
+    rows = _read_manifest(ns["manifest"])
+    # the manifest's WAVs, of both splits, are inputs the CSV must not be
+    _check_outputs(
+        [("manifest line %d's %s" % (row["line"], dest), row[dest])
+         for row in rows for dest in ("speech", "noise")],
+        [("--csv", ns["csv"])],
+    )
+    rows = [r for r in rows if r["split"] == ns["split"]]
     if not rows:
         raise ValueError("manifest has no rows for split '%s'" % ns["split"])
-    groups = _distinct_groups(ns["betas"], ns["directions"])
-    tasks = [group + (steps, ns["iterations"]) for group in groups]
+    tasks = _distinct_groups(ns["betas"], ns["directions"], steps, ns["iterations"])
     # every row's pair is read and mixed once before any group runs, so a
     # bad row fails the sweep at once; each pair is dropped, then read again
     for row in rows:
@@ -695,11 +722,7 @@ def _cmd_sweep(ns):
                 row["mixture_id"], row["snr_db"], row["seed"], signals, row_provider,
                 d, stft_config,
             )
-            ran = _run_groups(block, tasks)
-            for group_rows, labels in zip(ran, groups.values()):
-                records.extend(
-                    r._replace(direction=label) for r in group_rows for label in labels
-                )
+            records += _run_groups(block, tasks)
             # freed before the next d's measurements are built
             block = None
     records.sort(

@@ -156,6 +156,20 @@ class TestWriteWav:
         write_wav(path, Signal(np.array([0.0, 0.25, -0.25]), 16000))
         assert len(recwarn) == 0
 
+    def test_largest_rate_whose_byte_rate_fits_the_header(self, tmp_path):
+        # 16-bit mono: the header's byte rate is twice the sample rate, in an
+        # unsigned 32-bit field
+        path = tmp_path / "fast.wav"
+        write_wav(path, Signal(np.array([0.25]), 2147483647))
+        assert load_wav(path).sample_rate == 2147483647
+        assert struct.unpack_from("<II", path.read_bytes(), 24) == (2147483647, 4294967294)
+        above = tmp_path / "above.wav"
+        with pytest.raises(ValueError, match="sample rate 2147483648 Hz") as err:
+            write_wav(above, Signal(np.array([0.25]), 2147483648))
+        assert str(above) in str(err.value)
+        # refused before the file is opened
+        assert not above.exists()
+
 
 class TestLoadErrorsNameTheFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,6 +177,15 @@ class TestLoadErrorsNameTheFile:
         path = tmp_path / "bad.wav"
         wavfile.write(path, 16000, np.array([0.25, bad, 0.0], dtype=np.float32))
         with pytest.raises(ValueError, match="finite") as err:
+            load_wav(path)
+        assert str(path) in str(err.value)
+
+    def test_rate_the_writer_cannot_write(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(path, Signal(np.array([0.25]), 16000))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:24] + struct.pack("<I", 2147483648) + raw[28:])
+        with pytest.raises(ValueError, match="sample rate 2147483648 Hz") as err:
             load_wav(path)
         assert str(path) in str(err.value)
 

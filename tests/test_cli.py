@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import platform
 import signal
+import struct
 import subprocess
 import sys
 import warnings
@@ -171,6 +172,23 @@ class TestMix:
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
         assert {path: path.read_bytes() for path in wavs["dir"].glob("*.wav")} == before
+
+    def test_rate_the_writer_cannot_write_rejected_at_load(self, wavs, capsys):
+        _set_rate_3_ghz(Path(wavs["speech"]))
+        _set_rate_3_ghz(Path(wavs["noise"]))
+        before = set(wavs["dir"].rglob("*"))
+        out = wavs["dir"] / "mixture.wav"
+        code = cli.main([
+            "mix", "--speech", wavs["speech"], "--noise", wavs["noise"],
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and set(wavs["dir"].rglob("*")) == before
+        assert captured.err == (
+            "error: %s: sample rate 3000000000 Hz is above 2147483647, the largest "
+            "a 16-bit WAV holds\n" % wavs["speech"]
+        )
 
     def test_snr_whose_noise_underflows_rejected(self, wavs, capsys):
         out = wavs["dir"] / "mixture.wav"
@@ -504,6 +522,19 @@ def _half_silent_wav(path):
     write_wav(path, Signal(samples, RATE))
 
 
+def _set_rate_3_ghz(path):
+    # the header now says 3 000 000 000 Hz: twice that, the 16-bit byte
+    # rate, does not fit a header
+    raw = path.read_bytes()
+    path.write_bytes(raw[:24] + struct.pack("<I", 3_000_000_000) + raw[28:])
+
+
+def _noise_beside_a_directory(path):
+    # and est/source_0.wav a directory beside it
+    _write_noise(path, seed=7)
+    (path.parent / "est" / "source_0.wav").mkdir(parents=True)
+
+
 # how each kind of WAV in AWKWARD_INPUTS is written; "missing" writes none
 _AWKWARD_WAVS = {
     "tone": lambda path: _write_tone(path, 440.0),
@@ -524,6 +555,9 @@ _AWKWARD_WAVS = {
     "1 sample": lambda path: write_wav(path, Signal(np.array([0.25]), RATE)),
     "half silent": _half_silent_wav,
     "long tone": lambda path: _write_tone(path, 440.0, length=12000),
+    "tone at 3 GHz": lambda path: (_write_tone(path, 440.0), _set_rate_3_ghz(path)),
+    "noise at 3 GHz": lambda path: (_write_noise(path, seed=7), _set_rate_3_ghz(path)),
+    "noise beside est/source_0.wav, a directory": _noise_beside_a_directory,
 }
 
 # Awkward inputs through `separate` (at --win 256 --hop 64 unless a flag
@@ -552,6 +586,9 @@ AWKWARD_INPUTS = [
     ("WAV without a fmt chunk before its data chunk", "no fmt chunk", "noise", (), 2,
      "malformed or unreadable WAV file {speech}: no fmt chunk before the data chunk"),
     ("WAV without samples", "empty", "noise", (), 2, "{speech} holds no samples"),
+    ("WAVs at 3 000 000 000 Hz", "tone at 3 GHz", "noise at 3 GHz",
+     ("--out-dir", "est", "--csv", "row.csv"), 2,
+     "{speech}: sample rate 3000000000 Hz is above 2147483647"),
     ("missing speech file", "missing", "noise", (), 2,
      "[Errno 2] No such file or directory: '{speech}'"),
     ("missing noise file", "tone", "missing", (), 2,
@@ -586,6 +623,10 @@ AWKWARD_INPUTS = [
     ("out-dir is a file", "tone", "noise",
      ("--out-dir", "noise.wav", "--csv", "row.csv"), 2,
      "--out-dir 'noise.wav': 'noise.wav' is not a directory"),
+    ("out-dir file that is a directory", "tone",
+     "noise beside est/source_0.wav, a directory",
+     ("--out-dir", "est", "--csv", "row.csv"), 2,
+     "--out-dir 'est/source_0.wav' is a directory"),
     ("CSV that is the noise WAV", "tone", "noise", ("--csv", "noise.wav"), 2,
      "--csv 'noise.wav' is the same file as --noise"),
 ]
@@ -983,6 +1024,27 @@ class TestSweep:
         assert captured.err == "error: --csv %r is the same file as --manifest\n" % str(
             manifest)
         assert manifest.read_text() == text
+        assert calls == []
+
+    @pytest.mark.parametrize("csv_name, split, named", [
+        ("tone_b.wav", "validation", "manifest line 3's speech"),
+        ("noise.wav", "validation", "manifest line 2's noise"),
+        # a validation row's WAV is checked in a test-split sweep too
+        ("tone_b.wav", "test", "manifest line 3's speech"),
+    ])
+    def test_csv_that_is_a_manifest_rows_wav_rejected_before_any_read(
+        self, sweep_setup, capsys, monkeypatch, csv_name, split, named
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_load_pair", lambda *args: calls.append(args))
+        before = {p: p.read_bytes() for p in sweep_setup["dir"].iterdir()}
+        code, out = _sweep(sweep_setup, csv_name, ["--split", split])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --csv %r is the same file as %s\n" % (
+            str(out), named)
+        assert {p: p.read_bytes() for p in sweep_setup["dir"].iterdir()} == before
         assert calls == []
 
     def test_grid_that_is_not_cola_rejected_before_any_input(
@@ -1543,7 +1605,7 @@ class TestDistinctSweepGroups:
         original = cli._distinct_groups
         monkeypatch.setattr(
             cli, "_distinct_groups",
-            lambda *args: dict(reversed(original(*args).items())),
+            lambda *args: original(*args)[::-1],
         )
         code, backward = _grid_sweep(sweep_setup, "backward.csv", betas="0,1.5,2")
         assert code == 0

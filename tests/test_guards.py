@@ -246,8 +246,9 @@ def test_spanned_names_are_called_by_the_cli():
     assert spanned <= by_name
 
 
-# blocks scipy, then runs mix, separate --out-dir and eval on WAVs that
-# write_wav wrote; its last line is the exit codes and the scipy modules loaded
+# blocks scipy, then runs mix, separate --out-dir, eval and a one-row sweep
+# on WAVs that write_wav wrote; its last line is the exit codes and the scipy
+# modules loaded
 _WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -263,10 +264,15 @@ t = np.arange(4000) / 16000
 write_wav(speech, Signal(0.4 * np.sin(2 * np.pi * 440 * t), 16000))
 write_wav(noise, Signal(np.random.default_rng(7).uniform(-0.2, 0.2, 6000), 16000))
 pair = ["--speech", speech, "--noise", noise]
+(work / "manifest.csv").write_text(
+    "mixture_id,speech,noise,snr_db,seed,split\\nm,speech.wav,noise.wav,0,1,validation\\n"
+)
 codes = [
     cli.main(["mix", *pair, "--out", mixture]),
     cli.main(["separate", *pair, "--win", "256", "--hop", "64", "--out-dir", str(work / "out")]),
     cli.main(["eval", "--ref", speech, "--est", str(work / "out" / "source_0.wav")]),
+    cli.main(["sweep", "--manifest", str(work / "manifest.csv"), "--csv", str(work / "sweep.csv"),
+              "--win", "256", "--hop", "64", "--betas", "1.5", "--step-sizes", "0.1"]),
 ]
 loaded = [name for name, module in sys.modules.items()
           if name.partition(".")[0] == "scipy" and module is not None]
@@ -281,5 +287,7 @@ def test_the_cli_runs_without_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
     assert (tmp_path / "mix.wav").is_file() and (tmp_path / "out" / "source_1.wav").is_file()
+    # 1.5 at both directions and both d, one step size
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 4

@@ -147,6 +147,13 @@ CATALOGUE = [
     Mutant("src/bregsep/transform.py", "lo, hi, _ = owned.indices(len(chunks))",
            "lo, hi = 0, len(chunks)",
            "chunk slice ignored, both threads add to the cut's chunks"),
+    # the seventh round: each output's one path
+    Mutant("src/bregsep/cli.py",
+           "rows += [row._replace(direction=label) for label in labels]",
+           "rows.append(row)", "group rows keep only the run direction"),
+    Mutant("src/bregsep/cli.py", "        if Path(text).is_dir():\n",
+           '        if Path(text).is_dir() and flag != "--out-dir":\n',
+           "--out-dir files skip the directory rule"),
 ]
 
 
