@@ -530,7 +530,7 @@ def _set_rate_3_ghz(path):
 
 
 def _noise_beside_a_directory(path):
-    # and est/source_0.wav a directory beside it
+    # noise, with est/source_0.wav a directory beside it
     _write_noise(path, seed=7)
     (path.parent / "est" / "source_0.wav").mkdir(parents=True)
 

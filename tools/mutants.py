@@ -13,7 +13,7 @@ one mutant per usable CPU at a time. One line per mutant follows, in
 catalogue order: `killed` with the first failing test, or `survived`. The
 tool exits 1 if any mutant survived.
 
-The whole catalogue takes about 10 minutes on 2 vCPUs. Equivalent mutants
+The whole catalogue takes about 20 minutes on 2 vCPUs. Equivalent mutants
 are left out: `_COLA_TOL` (the only non-COLA grids miss by 0.375 or more),
 `_BLOCK_FRAMES` (every block size gives the same bits) and the sweep's group
 order (rows are sorted before they are written).
